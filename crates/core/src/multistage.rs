@@ -6,7 +6,7 @@ use crate::dataset::{plan_stage_samples, stage_dataset, Dataset};
 use crate::shards::{ShardError, ShardSamples, ShardSet};
 use cati_dwarf::{StageId, TypeClass};
 use cati_embedding::VucEmbedder;
-use cati_nn::{argmax, Adam, Rows, Tensor, TextCnn, TextCnnConfig, TrainHook};
+use cati_nn::{argmax, predict_fused, Adam, Rows, Tensor, TextCnn, TextCnnConfig, TrainHook};
 use cati_obs::{Event, Level, Observer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -394,32 +394,39 @@ impl MultiStage {
         self.stage(stage).predict_batch(xs)
     }
 
-    /// Leaf distributions of a whole batch of embedded VUCs: one
-    /// batched pass per stage, then the per-sample root-to-leaf
-    /// products, as an `n × 19` tensor. Row `i` equals
-    /// `leaf_distribution(xs row i)`.
+    /// Leaf distributions of a whole batch of embedded VUCs, as an
+    /// `n × 19` tensor. Row `i` equals `leaf_distribution(xs row i)`
+    /// bitwise.
+    ///
+    /// One fused pass ([`cati_nn::predict_fused`]) runs all six stage
+    /// CNNs on each 8-VUC tile and writes each leaf's root-to-leaf
+    /// product straight from the tile's stage probabilities, taken in
+    /// [`StageId::path_of`] order.
     pub fn leaf_distributions_batch<R: Rows + ?Sized>(&self, xs: &R) -> Tensor {
-        let per_stage: Vec<(StageId, Tensor)> = StageId::ALL
+        let models: Vec<&TextCnn> = StageId::ALL.iter().map(|&s| self.stage(s)).collect();
+        // A fused row holds the stages' probabilities in
+        // `StageId::ALL` order; each leaf's path becomes indices into it.
+        let offset = |stage: StageId| -> usize {
+            StageId::ALL
+                .iter()
+                .take_while(|&&s| s != stage)
+                .map(|&s| self.stage(s).cfg.classes)
+                .sum()
+        };
+        let paths: Vec<Vec<usize>> = TypeClass::ALL
             .iter()
-            .map(|&s| (s, self.stage_probs_batch(s, xs)))
-            .collect();
-        let mut out = Tensor::zeros(xs.count(), TypeClass::ALL.len());
-        for i in 0..xs.count() {
-            let prob = |stage: StageId, label: usize| -> f32 {
-                per_stage
-                    .iter()
-                    .find(|(s, _)| *s == stage)
-                    .map(|(_, p)| p.row(i)[label])
-                    .unwrap_or(0.0)
-            };
-            for (slot, &class) in out.row_mut(i).iter_mut().zip(TypeClass::ALL.iter()) {
-                *slot = StageId::path_of(class)
+            .map(|&class| {
+                StageId::path_of(class)
                     .into_iter()
-                    .map(|(stage, label)| prob(stage, label))
-                    .product();
+                    .map(|(stage, label)| offset(stage) + label)
+                    .collect()
+            })
+            .collect();
+        predict_fused(&models, xs, TypeClass::ALL.len(), |probs, out| {
+            for (slot, path) in out.iter_mut().zip(&paths) {
+                *slot = path.iter().map(|&i| probs[i]).product();
             }
-        }
-        out
+        })
     }
 
     /// The full 19-class leaf distribution of one embedded VUC: the
@@ -483,6 +490,64 @@ mod tests {
         let embedder = VucEmbedder::new(Word2Vec::train(&sentences, config.w2v));
         let ms = MultiStage::train(&ds, &embedder, &config, &cati_obs::NOOP);
         (ms, embedder, ds)
+    }
+
+    /// The fused pass's rows are bitwise equal both to per-row
+    /// `leaf_distribution` and to the product of each stage's batched
+    /// probabilities along `StageId::path_of` (the composition the
+    /// traced benchmark times), for row counts around the 8-VUC tile.
+    #[test]
+    fn fused_leaf_distributions_match_per_row_and_per_stage_products() {
+        let models = StageId::ALL
+            .iter()
+            .map(|&stage| {
+                let cfg = TextCnnConfig {
+                    seq_len: cati_analysis::VUC_LEN,
+                    embed_dim: 6,
+                    conv1: 5,
+                    conv2: 8,
+                    fc: 12,
+                    classes: stage.num_classes(),
+                };
+                (stage, TextCnn::new(cfg, 40 + stage as u64))
+            })
+            .collect();
+        let ms = MultiStage::from_models(models);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for n in [0usize, 1, 7, 8, 9, 23] {
+            let cols = 6 * cati_analysis::VUC_LEN;
+            let data = (0..n * cols)
+                .map(|i| (i as f32 * 0.61).sin() * 1.7)
+                .collect();
+            let xs = Tensor::from_flat(n, cols, data);
+            let fused = ms.leaf_distributions_batch(&xs);
+            assert_eq!((fused.rows(), fused.cols()), (n, TypeClass::ALL.len()));
+            let per_stage: Vec<Tensor> = StageId::ALL
+                .iter()
+                .map(|&s| ms.stage_probs_batch(s, &xs))
+                .collect();
+            for i in 0..n {
+                let row = fused.row(i);
+                assert_eq!(
+                    bits(row),
+                    bits(&ms.leaf_distribution(xs.row(i))),
+                    "n={n} row {i}"
+                );
+                let composed: Vec<f32> = TypeClass::ALL
+                    .iter()
+                    .map(|&class| {
+                        StageId::path_of(class)
+                            .into_iter()
+                            .map(|(stage, label)| {
+                                let k = StageId::ALL.iter().position(|&s| s == stage).unwrap();
+                                per_stage[k].row(i)[label]
+                            })
+                            .product()
+                    })
+                    .collect();
+                assert_eq!(bits(row), bits(&composed), "n={n} row {i}");
+            }
+        }
     }
 
     #[test]

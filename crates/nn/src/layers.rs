@@ -5,6 +5,7 @@
 //! accumulate into caller-owned buffers so mini-batches can be
 //! processed in parallel and reduced.
 
+use crate::isa::{Isa, Kernel};
 use crate::param::ParamBuf;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -138,42 +139,145 @@ impl Conv1d {
     /// `[in_ch][len][LANES]` (lane `j` = sample `j`), `yt` receives
     /// `[out_ch][len][LANES]` in the same layout.
     ///
-    /// With samples as the innermost contiguous dimension, every
-    /// kernel tap becomes a shifted saxpy over `(t1-t0)*LANES`
-    /// contiguous floats — no interior/edge split, no data-dependent
-    /// branches, one broadcast weight feeding 8 independent lanes.
-    /// Each lane's per-element accumulation chain is bias-seeded then
-    /// ascending `(i, dk)` over in-bounds taps — exactly
-    /// [`Conv1d::forward`]'s chain, so per-sample outputs are bitwise
-    /// identical to the one-sample path.
+    /// With samples as the innermost contiguous dimension, one
+    /// broadcast weight feeds 8 independent lanes, and the kernel is
+    /// register-blocked: a block of output channels × output columns
+    /// keeps its accumulators in registers across every `(i, dk)` tap
+    /// and stores them once. Each lane's
+    /// per-element chain is bias-seeded then ascending `(i, dk)` over
+    /// in-bounds taps — exactly [`Conv1d::forward`]'s chain, so
+    /// per-sample outputs are bitwise identical to the one-sample
+    /// path. Runs the AVX2 build of the kernel on CPUs that have it
+    /// (same bits; see the `isa` module).
     pub fn forward_lanes(&self, xt: &[f32], len: usize, yt: &mut Vec<f32>) {
-        const L: usize = LANES;
-        debug_assert_eq!(xt.len(), self.in_ch * len * L);
-        let pad = self.k / 2;
+        self.forward_lanes_on(Isa::detected(), xt, len, yt);
+    }
+
+    /// [`Conv1d::forward_lanes`] compiled for `isa`.
+    pub(crate) fn forward_lanes_on(&self, isa: Isa, xt: &[f32], len: usize, yt: &mut Vec<f32>) {
+        assert_eq!(xt.len(), self.in_ch * len * LANES, "conv input tile shape");
         yt.clear();
-        yt.resize(self.out_ch * len * L, 0.0);
-        for o in 0..self.out_ch {
-            let yo = &mut yt[o * len * L..(o + 1) * len * L];
-            yo.fill(self.b[o]);
-            for i in 0..self.in_ch {
-                let xi = &xt[i * len * L..(i + 1) * len * L];
-                let wbase = (o * self.in_ch + i) * self.k;
-                for dk in 0..self.k {
-                    // Columns where tap `t + dk - pad` is in [0, len).
-                    let t0 = pad.saturating_sub(dk);
-                    let t1 = (len + pad).saturating_sub(dk).min(len);
-                    if t0 >= t1 {
-                        continue; // tap entirely out of bounds (len < k)
-                    }
-                    let (s0, s1) = (t0 + dk - pad, t1 + dk - pad);
-                    let wv = self.w[wbase + dk];
-                    let src = &xi[s0 * L..s1 * L];
-                    let dst = &mut yo[t0 * L..t1 * L];
-                    for (d, &s) in dst.iter_mut().zip(src) {
-                        *d += wv * s;
+        yt.resize(self.out_ch * len * LANES, 0.0);
+        isa.run(ConvTile {
+            w: &self.w,
+            b: &self.b,
+            in_ch: self.in_ch,
+            out_ch: self.out_ch,
+            k: self.k,
+            len,
+            xt: xt.as_chunks().0,
+            yt: yt.as_chunks_mut().0,
+        });
+    }
+}
+
+/// The operands of one [`Conv1d::forward_lanes`] call, with the
+/// weights dereferenced once and the tiles viewed as 8-lane columns.
+struct ConvTile<'a> {
+    w: &'a [f32],
+    b: &'a [f32],
+    in_ch: usize,
+    out_ch: usize,
+    k: usize,
+    len: usize,
+    /// `[in_ch][len]` input lane columns.
+    xt: &'a [[f32; LANES]],
+    /// `[out_ch][len]` output lane columns.
+    yt: &'a mut [[f32; LANES]],
+}
+
+impl Kernel for ConvTile<'_> {
+    #[inline(always)]
+    fn run(mut self) {
+        if self.len == 0 {
+            return;
+        }
+        let o = self.channels::<4>(0);
+        self.channels::<1>(o);
+    }
+}
+
+impl ConvTile<'_> {
+    /// Output channels from `o` on in blocks of `OB` while a whole
+    /// block fits, over every column; returns the first
+    /// channel left over. Interior columns, where every tap
+    /// `t + dk - pad` lands in `[0, len)`, go in blocks of 3 (then 2,
+    /// 1): 4 channels × 3 columns is 12 accumulators, as many as the
+    /// 16 ymm registers hold beside the operands. Edge columns run one
+    /// at a time over their in-bounds taps.
+    #[inline(always)]
+    fn channels<const OB: usize>(&mut self, mut o: usize) -> usize {
+        let (k, len, pad) = (self.k, self.len, self.k / 2);
+        // The interior `[pad, len + pad - k + 1)`, clamped for inputs
+        // shorter than the kernel.
+        let lo = pad.min(len);
+        let hi = (len + pad + 1).saturating_sub(k).clamp(lo, len);
+        while o + OB <= self.out_ch {
+            for t in (0..lo).chain(hi..len) {
+                let taps = pad.saturating_sub(t)..(len + pad - t).min(k);
+                self.block::<OB, 1>(o, t, taps);
+            }
+            let t = self.columns::<OB, 3>(o, lo, hi);
+            let t = self.columns::<OB, 2>(o, t, hi);
+            self.columns::<OB, 1>(o, t, hi);
+            o += OB;
+        }
+        o
+    }
+
+    /// Interior columns from `t` on in blocks of `TB` while a whole
+    /// block fits below `hi`; returns the first column left over.
+    #[inline(always)]
+    fn columns<const OB: usize, const TB: usize>(
+        &mut self,
+        o: usize,
+        mut t: usize,
+        hi: usize,
+    ) -> usize {
+        while t + TB <= hi {
+            self.block::<OB, TB>(o, t, 0..self.k);
+            t += TB;
+        }
+        t
+    }
+
+    /// One register block: output channels `o0..o0 + OB` × columns
+    /// `t0..t0 + TB`, accumulating taps `taps` (in bounds for every
+    /// column of the block). The `OB × TB` 8-lane accumulators are
+    /// seeded with the bias, updated across every `(i, dk)` in
+    /// ascending order, and stored once.
+    #[inline(always)]
+    fn block<const OB: usize, const TB: usize>(
+        &mut self,
+        o0: usize,
+        t0: usize,
+        taps: std::ops::Range<usize>,
+    ) {
+        let (k, len, pad) = (self.k, self.len, self.k / 2);
+        let wrow = self.in_ch * k;
+        let wb = &self.w[o0 * wrow..(o0 + OB) * wrow];
+        let mut acc = [[[0.0f32; LANES]; TB]; OB];
+        for (a, &b) in acc.iter_mut().zip(&self.b[o0..o0 + OB]) {
+            *a = [[b; LANES]; TB];
+        }
+        for i in 0..self.in_ch {
+            let xi = &self.xt[i * len..(i + 1) * len];
+            for dk in taps.clone() {
+                let s = t0 + dk - pad;
+                let xs: &[[f32; LANES]; TB] =
+                    xi[s..s + TB].try_into().expect("a block reads TB columns");
+                for (ob, a) in acc.iter_mut().enumerate() {
+                    let wv = wb[ob * wrow + i * k + dk];
+                    for (a, x) in a.iter_mut().zip(xs) {
+                        for (a, &x) in a.iter_mut().zip(x) {
+                            *a += wv * x;
+                        }
                     }
                 }
             }
+        }
+        for (ob, a) in acc.iter().enumerate() {
+            self.yt[(o0 + ob) * len + t0..][..TB].copy_from_slice(a);
         }
     }
 }
@@ -286,30 +390,28 @@ impl Dense {
     /// Each lane's accumulation chain is exactly
     /// [`Dense::forward`]'s — zero-seeded, ascending `i`, bias added
     /// last — so per-sample outputs are bitwise identical to the
-    /// one-sample path. The weight `w[o][i]` broadcasts across the 8
-    /// contiguous lanes, which is the shape the autovectorizer turns
-    /// into SIMD: one weight load feeds 8 independent multiply-adds,
-    /// and the weight matrix streams through once per *tile* instead
-    /// of once per sample.
+    /// one-sample path. Outputs are register-blocked 4 at a time (then
+    /// 2, 1): each input column `xt[i]` is loaded once per block and
+    /// feeds 4 independent accumulator chains, and the weight
+    /// matrix streams through once per *tile* instead of once per
+    /// sample. Runs the AVX2 build of the kernel on CPUs that have it
+    /// (same bits; see the `isa` module).
     pub fn forward_batch(&self, xt: &[f32], out: &mut Vec<f32>) {
-        const L: usize = LANES;
-        debug_assert_eq!(xt.len(), self.in_dim * L);
+        self.forward_batch_on(Isa::detected(), xt, out);
+    }
+
+    /// [`Dense::forward_batch`] compiled for `isa`.
+    pub(crate) fn forward_batch_on(&self, isa: Isa, xt: &[f32], out: &mut Vec<f32>) {
+        assert_eq!(xt.len(), self.in_dim * LANES, "dense input tile shape");
         out.clear();
-        out.resize(self.out_dim * L, 0.0);
-        for o in 0..self.out_dim {
-            let row = &self.w[o * self.in_dim..(o + 1) * self.in_dim];
-            let mut acc = [0.0f32; L];
-            for (i, &wv) in row.iter().enumerate() {
-                let xs = &xt[i * L..i * L + L];
-                for (a, &xv) in acc.iter_mut().zip(xs) {
-                    *a += wv * xv;
-                }
-            }
-            let b = self.b[o];
-            for (dst, a) in out[o * L..o * L + L].iter_mut().zip(acc) {
-                *dst = a + b;
-            }
-        }
+        out.resize(self.out_dim * LANES, 0.0);
+        isa.run(DenseTile {
+            w: &self.w,
+            b: &self.b,
+            in_dim: self.in_dim,
+            xt: xt.as_chunks().0,
+            out: out.as_chunks_mut().0,
+        });
     }
 
     /// Backward pass; fills `gx`, accumulates `gw`/`gb`.
@@ -336,6 +438,56 @@ impl Dense {
                 gx[i] += g * row[i];
             }
         }
+    }
+}
+
+/// The operands of one [`Dense::forward_batch`] call, with the weights
+/// dereferenced once and the tiles viewed as 8-lane columns.
+struct DenseTile<'a> {
+    w: &'a [f32],
+    b: &'a [f32],
+    in_dim: usize,
+    /// `[in_dim]` input lane columns.
+    xt: &'a [[f32; LANES]],
+    /// `[out_dim]` output lane columns.
+    out: &'a mut [[f32; LANES]],
+}
+
+impl Kernel for DenseTile<'_> {
+    #[inline(always)]
+    fn run(mut self) {
+        let o = self.blocks::<4>(0);
+        let o = self.blocks::<2>(o);
+        self.blocks::<1>(o);
+    }
+}
+
+impl DenseTile<'_> {
+    /// Computes outputs from `o` on in blocks of `OB` while a whole
+    /// block fits; returns the first output left over.
+    #[inline(always)]
+    fn blocks<const OB: usize>(&mut self, mut o: usize) -> usize {
+        let n = self.in_dim;
+        while o + OB <= self.out.len() {
+            let w = &self.w[o * n..][..OB * n];
+            let mut acc = [[0.0f32; LANES]; OB];
+            for (i, x) in self.xt[..n].iter().enumerate() {
+                for (ob, a) in acc.iter_mut().enumerate() {
+                    let wv = w[ob * n + i];
+                    for (a, &x) in a.iter_mut().zip(x) {
+                        *a += wv * x;
+                    }
+                }
+            }
+            let outs = self.out[o..o + OB].iter_mut();
+            for ((dst, a), &b) in outs.zip(&acc).zip(&self.b[o..o + OB]) {
+                for (d, &a) in dst.iter_mut().zip(a) {
+                    *d = a + b;
+                }
+            }
+            o += OB;
+        }
+        o
     }
 }
 
@@ -384,22 +536,57 @@ pub fn maxpool2(x: &[f32], channels: usize, len: usize) -> (Vec<f32>, Vec<u32>) 
 /// `[channels][len][LANES]`, `yt` receives
 /// `[channels][len/2][LANES]`. Inference-only — no argmax indices are
 /// recorded. Each lane's select is `a >= b ? a : b`, the same
-/// comparison (including NaN polarity) as [`maxpool2`].
+/// comparison (including NaN polarity) as [`maxpool2`]. Runs the AVX2
+/// build of the kernel on CPUs that have it.
 pub fn maxpool2_lanes(xt: &[f32], channels: usize, len: usize, yt: &mut Vec<f32>) {
-    const L: usize = LANES;
-    debug_assert_eq!(xt.len(), channels * len * L);
-    let out_len = len / 2;
+    maxpool2_lanes_on(Isa::detected(), xt, channels, len, yt);
+}
+
+/// [`maxpool2_lanes`] compiled for `isa`.
+pub(crate) fn maxpool2_lanes_on(
+    isa: Isa,
+    xt: &[f32],
+    channels: usize,
+    len: usize,
+    yt: &mut Vec<f32>,
+) {
+    assert_eq!(
+        xt.len(),
+        channels * len * LANES,
+        "max-pool input tile shape"
+    );
     yt.clear();
-    yt.resize(channels * out_len * L, 0.0);
-    for c in 0..channels {
-        let xc = &xt[c * len * L..(c + 1) * len * L];
-        let yc = &mut yt[c * out_len * L..(c + 1) * out_len * L];
-        for t in 0..out_len {
-            let a = &xc[2 * t * L..2 * t * L + L];
-            let b = &xc[(2 * t + 1) * L..(2 * t + 1) * L + L];
-            let dst = &mut yc[t * L..t * L + L];
-            for j in 0..L {
-                dst[j] = if a[j] >= b[j] { a[j] } else { b[j] };
+    yt.resize(channels * (len / 2) * LANES, 0.0);
+    isa.run(PoolTile {
+        len,
+        xt: xt.as_chunks().0,
+        yt: yt.as_chunks_mut().0,
+    });
+}
+
+/// The operands of one [`maxpool2_lanes`] call, viewed as 8-lane
+/// columns.
+struct PoolTile<'a> {
+    len: usize,
+    /// `[channels][len]` input lane columns.
+    xt: &'a [[f32; LANES]],
+    /// `[channels][len / 2]` output lane columns.
+    yt: &'a mut [[f32; LANES]],
+}
+
+impl Kernel for PoolTile<'_> {
+    #[inline(always)]
+    fn run(self) {
+        let out_len = self.len / 2;
+        if out_len == 0 {
+            return;
+        }
+        let rows = self.xt.chunks_exact(self.len);
+        for (xc, yc) in rows.zip(self.yt.chunks_exact_mut(out_len)) {
+            for (pair, dst) in xc.as_chunks::<2>().0.iter().zip(yc) {
+                for ((d, &a), &b) in dst.iter_mut().zip(&pair[0]).zip(&pair[1]) {
+                    *d = if a >= b { a } else { b };
+                }
             }
         }
     }
@@ -507,6 +694,25 @@ mod tests {
         }
     }
 
+    /// Every instruction set this CPU runs the lane kernels under.
+    fn isas() -> Vec<Isa> {
+        let mut isas = vec![Isa::BASELINE, Isa::detected()];
+        isas.dedup();
+        isas
+    }
+
+    /// Interleaves [`LANES`] equally long samples lane-major: element
+    /// `e` of sample `j` lands at `e * LANES + j`.
+    fn lane_major(samples: &[Vec<f32>]) -> Vec<f32> {
+        let mut xt = vec![0.0f32; samples[0].len() * LANES];
+        for (j, s) in samples.iter().enumerate() {
+            for (e, &v) in s.iter().enumerate() {
+                xt[e * LANES + j] = v;
+            }
+        }
+        xt
+    }
+
     fn conv_with_weights(in_ch: usize, out_ch: usize, k: usize, ws: &[f32], bs: &[f32]) -> Conv1d {
         let mut rng = StdRng::seed_from_u64(99);
         let mut c = Conv1d::new(in_ch, out_ch, k, &mut rng);
@@ -582,13 +788,81 @@ mod tests {
             prop_assert_eq!(b(&gb), b(&gb_ref));
         }
 
+        /// Lane `j` of `Conv1d::forward_lanes` is bitwise equal to
+        /// `Conv1d::forward` on sample `j`, on every instruction set
+        /// this CPU runs, across channel counts that leave every
+        /// register-block remainder and lengths shorter than, equal to
+        /// and longer than the kernel.
+        #[test]
+        fn conv_forward_lanes_match_single_sample_path(
+            seed in 0u64..1000,
+            len in 1usize..40,
+            in_ch in 1usize..9,
+            out_ch in 1usize..9,
+            kk in 0usize..3,
+        ) {
+            let k = 2 * kk + 1;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut conv = Conv1d::new(in_ch, out_ch, k, &mut rng);
+            conv.b = (0..out_ch).map(|_| rng.gen_range(-1.0f32..1.0)).collect::<Vec<_>>().into();
+            let samples: Vec<Vec<f32>> = (0..LANES)
+                .map(|_| (0..in_ch * len).map(|_| rng.gen_range(-2.0f32..2.0)).collect())
+                .collect();
+            let xt = lane_major(&samples);
+            for isa in isas() {
+                let mut yt = Vec::new();
+                conv.forward_lanes_on(isa, &xt, len, &mut yt);
+                prop_assert_eq!(yt.len(), out_ch * len * LANES);
+                for (j, s) in samples.iter().enumerate() {
+                    let mut y = Vec::new();
+                    conv.forward(s, len, &mut y);
+                    for (e, v) in y.iter().enumerate() {
+                        prop_assert_eq!(yt[e * LANES + j].to_bits(), v.to_bits(), "{:?} lane {} element {}", isa, j, e);
+                    }
+                }
+            }
+        }
+
+        /// The baseline and AVX2 builds of every lane kernel give
+        /// identical bits, zeros and signed values included. (On a CPU
+        /// without AVX2 both runs take the baseline build.)
+        #[test]
+        fn lane_kernel_builds_give_identical_bits(
+            seed in 0u64..1000,
+            len in 1usize..30,
+            in_ch in 1usize..9,
+            out_ch in 1usize..13,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let value = |r: &mut StdRng| match r.gen_range(0..8) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => r.gen_range(-3.0f32..3.0),
+            };
+            let mut conv = Conv1d::new(in_ch, out_ch, 3, &mut rng);
+            conv.w = (0..conv.w.len()).map(|_| value(&mut rng)).collect::<Vec<_>>().into();
+            let mut dense = Dense::new(in_ch * len, out_ch, &mut rng);
+            dense.w = (0..dense.w.len()).map(|_| value(&mut rng)).collect::<Vec<_>>().into();
+            let xt: Vec<f32> = (0..in_ch * len * LANES).map(|_| value(&mut rng)).collect();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+            let run = |isa: Isa| {
+                let (mut c, mut d, mut p) = (Vec::new(), Vec::new(), Vec::new());
+                conv.forward_lanes_on(isa, &xt, len, &mut c);
+                dense.forward_batch_on(isa, &xt, &mut d);
+                maxpool2_lanes_on(isa, &xt, in_ch, len, &mut p);
+                (bits(&c), bits(&d), bits(&p))
+            };
+            prop_assert_eq!(run(Isa::BASELINE), run(Isa::detected()));
+        }
+
         /// `Dense::forward_batch` lanes are bitwise equal to 8
-        /// independent `Dense::forward` calls.
+        /// independent `Dense::forward` calls, on every instruction
+        /// set this CPU runs.
         #[test]
         fn dense_forward_batch_lanes_match_single_sample_path(
             seed in 0u64..1000,
             in_dim in 1usize..24,
-            out_dim in 1usize..12,
+            out_dim in 1usize..20,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let dense = Dense::new(in_dim, out_dim, &mut rng);
@@ -596,19 +870,16 @@ mod tests {
             let samples: Vec<Vec<f32>> = (0..LANES)
                 .map(|_| (0..in_dim).map(|_| rng.gen_range(-2.0f32..2.0)).collect())
                 .collect();
-            let mut xt = vec![0.0f32; in_dim * LANES];
-            for (j, s) in samples.iter().enumerate() {
-                for (i, &v) in s.iter().enumerate() {
-                    xt[i * LANES + j] = v;
-                }
-            }
-            let mut out = Vec::new();
-            dense.forward_batch(&xt, &mut out);
-            for (j, s) in samples.iter().enumerate() {
-                let mut y = Vec::new();
-                dense.forward(s, &mut y);
-                for o in 0..out_dim {
-                    prop_assert_eq!(out[o * LANES + j].to_bits(), y[o].to_bits());
+            let xt = lane_major(&samples);
+            for isa in isas() {
+                let mut out = Vec::new();
+                dense.forward_batch_on(isa, &xt, &mut out);
+                for (j, s) in samples.iter().enumerate() {
+                    let mut y = Vec::new();
+                    dense.forward(s, &mut y);
+                    for o in 0..out_dim {
+                        prop_assert_eq!(out[o * LANES + j].to_bits(), y[o].to_bits());
+                    }
                 }
             }
         }

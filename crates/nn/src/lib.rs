@@ -22,14 +22,16 @@
 //! assert!(loss.is_finite());
 //! ```
 
-// `deny` rather than `forbid`: the [`mmap`] module is the workspace's
-// single, documented unsafe island (the zero-copy weight loader);
-// everything else stays unsafe-free and any new unsafe outside that
-// module is a compile error.
+// `deny` rather than `forbid`: two documented modules hold the
+// crate's unsafe code — [`mmap`] (the zero-copy weight loader) and
+// `isa` (the one call into the AVX2 build of the lane kernels);
+// everything else stays unsafe-free and any new unsafe outside them
+// is a compile error.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
+mod isa;
 pub mod layers;
 pub mod mmap;
 pub mod model;
@@ -39,7 +41,9 @@ pub mod quant;
 pub mod tensor;
 
 pub use mmap::{MapSlice, MappedFile};
-pub use model::{NoHook, SampleSource, TextCnn, TextCnnConfig, TrainHook, Workspace};
+pub use model::{
+    predict_fused, NoHook, SampleSource, TextCnn, TextCnnConfig, TrainHook, Workspace,
+};
 pub use optim::{Adam, GradBuffers, Sgd};
 pub use param::ParamBuf;
 pub use quant::QuantMode;

@@ -7,9 +7,10 @@
 //! so these windows are valid (f32 needs 4-byte alignment; 64 also
 //! gives cache-line-aligned weight rows).
 //!
-//! All unsafe code in the workspace lives in this module, behind two
-//! invariants established at construction time and unchanged for the
-//! life of the value:
+//! All of this crate's unsafe memory access lives in this module (the
+//! `isa` module's one unsafe call only enters the AVX2 kernel build),
+//! behind two invariants established at construction time and
+//! unchanged for the life of the value:
 //!
 //! - a `MappedFile`'s pointer/length pair describes one live private
 //!   read-only mapping (or a heap buffer on non-unix platforms and on

@@ -165,12 +165,11 @@ pub struct Workspace {
     gx: Vec<f32>,
 }
 
-/// Per-thread scratch for the tiled [`TextCnn::predict_batch`] path:
-/// a per-sample [`Workspace`] for partial tail tiles, plus the
-/// lane-major activation tiles for full [`LANES`]-sample tiles.
+/// Per-thread scratch of the fused tile pass ([`predict_fused`]): the
+/// lane-major activation tiles of one [`LANES`]-sample tile, reused by
+/// every model and every tile a worker runs.
 #[derive(Debug, Default)]
-struct BatchWorkspace {
-    ws: Workspace,
+struct TileWorkspace {
     /// Input tile transposed to `[embed_dim][seq_len][LANES]`.
     xt: Vec<f32>,
     /// First conv activations `[conv1][seq_len][LANES]`.
@@ -187,6 +186,95 @@ struct BatchWorkspace {
     h: Vec<f32>,
     /// Logits `[classes][LANES]`.
     logits: Vec<f32>,
+    /// Per-sample probabilities `[LANES][Σ classes]`: row `j` holds
+    /// sample `j`'s softmax rows of every model, in model order.
+    probs: Vec<f32>,
+}
+
+/// Class probabilities of several models over the same rows in one
+/// fused, tiled pass, combined per row into `cols` outputs.
+///
+/// Every model must take the same input shape (`seq_len` ×
+/// `embed_dim`). Rows go in [`LANES`]-row tiles, split over the
+/// workers in contiguous runs; each worker transposes a tile once
+/// into the lane-major `[embed_dim][seq_len][LANES]` layout and runs
+/// every model's network on it ([`Conv1d::forward_lanes`],
+/// [`maxpool2_lanes`], [`relu`], [`Dense::forward_batch`]). The last
+/// partial tile is padded with zero lanes, whose outputs are dropped.
+/// For each row, `combine(probs, out)` then receives the
+/// concatenation of every model's softmax probabilities, in model
+/// order, and writes the row's `cols` outputs.
+///
+/// Per-sample accumulation chains are those of the one-sample path, so
+/// each model's probabilities are bitwise identical to
+/// [`TextCnn::predict`] on that row, whatever the tile, lane or worker
+/// count.
+///
+/// # Panics
+///
+/// Panics when the models disagree on the input shape, or a row's
+/// length is not `seq_len × embed_dim`.
+pub fn predict_fused<R, F>(models: &[&TextCnn], xs: &R, cols: usize, combine: F) -> Tensor
+where
+    R: Rows + ?Sized,
+    F: Fn(&[f32], &mut [f32]) + Sync,
+{
+    const L: usize = LANES;
+    let Some(head) = models.first() else {
+        return Tensor::zeros(xs.count(), cols);
+    };
+    let (len, embed_dim) = (head.cfg.seq_len, head.cfg.embed_dim);
+    assert!(
+        models
+            .iter()
+            .all(|m| (m.cfg.seq_len, m.cfg.embed_dim) == (len, embed_dim)),
+        "fused models must share one input shape"
+    );
+    let width_in = len * embed_dim;
+    let width: usize = models.iter().map(|m| m.cfg.classes).sum();
+    Tensor::build_row_blocks(
+        xs.count(),
+        cols,
+        L,
+        TileWorkspace::default,
+        |tw, first, chunk| {
+            let n = chunk.len() / cols;
+            let mut rows: [&[f32]; L] = [&[]; L];
+            for (j, row) in rows.iter_mut().enumerate().take(n) {
+                *row = xs.row_at(first + j);
+                assert_eq!(row.len(), width_in, "input row length");
+            }
+            // Transpose in 8×8 blocks, so both the row reads and the
+            // tile writes stay within a few cache lines.
+            tw.xt.clear();
+            tw.xt.resize(width_in * L, 0.0);
+            for (e0, dst) in (0..width_in).step_by(L).zip(tw.xt.chunks_mut(L * L)) {
+                for (j, row) in rows[..n].iter().enumerate() {
+                    for (t, &v) in row[e0..(e0 + L).min(width_in)].iter().enumerate() {
+                        dst[t * L + j] = v;
+                    }
+                }
+            }
+            tw.probs.clear();
+            tw.probs.resize(L * width, 0.0);
+            let mut offset = 0;
+            for model in models {
+                model.forward_tile(tw);
+                let classes = model.cfg.classes;
+                for (j, row) in tw.probs.chunks_exact_mut(width).take(n).enumerate() {
+                    let out = &mut row[offset..offset + classes];
+                    for (c, dst) in out.iter_mut().enumerate() {
+                        *dst = tw.logits[c * L + j];
+                    }
+                    softmax(out);
+                }
+                offset += classes;
+            }
+            for (probs, out) in tw.probs.chunks_exact(width).zip(chunk.chunks_mut(cols)) {
+                combine(probs, out);
+            }
+        },
+    )
 }
 
 impl TextCnn {
@@ -385,68 +473,35 @@ impl TextCnn {
 
     /// Class probabilities for a batch of inputs, written into one
     /// flat `n × classes` [`Tensor`]. Row `i` equals
-    /// `predict(row i)`; workers reuse one [`Workspace`] per thread
-    /// instead of allocating activations (or an output row) per
-    /// sample. Inputs are anything implementing [`Rows`] — a
-    /// [`Tensor`], owned rows, or borrowed rows (`Vec<&[f32]>`), so
-    /// callers can batch a selected subset of a table without copying
-    /// it.
+    /// `predict(row i)` bitwise. Inputs are anything implementing
+    /// [`Rows`] — a [`Tensor`], owned rows, or borrowed rows
+    /// (`Vec<&[f32]>`), so callers can batch a selected subset of a
+    /// table without copying it.
     ///
-    /// Samples are processed in [`LANES`]-row tiles that run the
-    /// whole network *lane-major* — samples as the innermost
-    /// contiguous dimension. The input rows transpose once into an
-    /// `[embed_dim][seq_len][LANES]` tile, then every layer
-    /// ([`Conv1d::forward_lanes`], [`maxpool2_lanes`], [`relu`],
-    /// [`Dense::forward_batch`]) streams its weights through once per
-    /// tile while operating on 8 contiguous sample lanes at a time.
-    /// Per-sample accumulation chains are unchanged, so every
-    /// probability is bitwise identical to the one-sample path
-    /// (pinned by test and by the golden-prediction fixtures).
+    /// This is the one-model case of [`predict_fused`]: rows run in
+    /// [`LANES`]-row lane-major tiles through the register-blocked
+    /// lane kernels, and every weight matrix streams through once per
+    /// tile instead of once per sample.
     pub fn predict_batch<R: Rows + ?Sized>(&self, xs: &R) -> Tensor {
-        const L: usize = LANES;
-        let classes = self.cfg.classes;
+        predict_fused(&[self], xs, self.cfg.classes, |probs, out| {
+            out.copy_from_slice(probs);
+        })
+    }
+
+    /// Runs the network on the lane-major input tile `tw.xt`, leaving
+    /// the `[classes][LANES]` logits in `tw.logits`.
+    fn forward_tile(&self, tw: &mut TileWorkspace) {
         let len = self.cfg.seq_len;
         let len2 = len / 2;
-        Tensor::build_row_blocks(
-            xs.count(),
-            classes,
-            L,
-            BatchWorkspace::default,
-            |bw, first, chunk| {
-                let n = chunk.len() / classes;
-                if n < L {
-                    // Partial tail tile: plain per-sample path.
-                    for (j, out) in chunk.chunks_mut(classes).enumerate() {
-                        self.forward(xs.row_at(first + j), &mut bw.ws);
-                        out.copy_from_slice(&bw.ws.logits);
-                        softmax(out);
-                    }
-                    return;
-                }
-                bw.xt.clear();
-                bw.xt.resize(self.cfg.embed_dim * len * L, 0.0);
-                for j in 0..L {
-                    for (e, &v) in xs.row_at(first + j).iter().enumerate() {
-                        bw.xt[e * L + j] = v;
-                    }
-                }
-                self.conv1.forward_lanes(&bw.xt, len, &mut bw.c1t);
-                relu(&mut bw.c1t);
-                maxpool2_lanes(&bw.c1t, self.cfg.conv1, len, &mut bw.p1t);
-                self.conv2.forward_lanes(&bw.p1t, len2, &mut bw.c2t);
-                relu(&mut bw.c2t);
-                maxpool2_lanes(&bw.c2t, self.cfg.conv2, len2, &mut bw.p2t);
-                self.fc1.forward_batch(&bw.p2t, &mut bw.h);
-                relu(&mut bw.h);
-                self.fc2.forward_batch(&bw.h, &mut bw.logits);
-                for (j, out) in chunk.chunks_mut(classes).enumerate() {
-                    for (c, dst) in out.iter_mut().enumerate() {
-                        *dst = bw.logits[c * L + j];
-                    }
-                    softmax(out);
-                }
-            },
-        )
+        self.conv1.forward_lanes(&tw.xt, len, &mut tw.c1t);
+        relu(&mut tw.c1t);
+        maxpool2_lanes(&tw.c1t, self.cfg.conv1, len, &mut tw.p1t);
+        self.conv2.forward_lanes(&tw.p1t, len2, &mut tw.c2t);
+        relu(&mut tw.c2t);
+        maxpool2_lanes(&tw.c2t, self.cfg.conv2, len2, &mut tw.p2t);
+        self.fc1.forward_batch(&tw.p2t, &mut tw.h);
+        relu(&mut tw.h);
+        self.fc2.forward_batch(&tw.h, &mut tw.logits);
     }
 
     /// Forward + backward for one `(x, label)`; accumulates gradients

@@ -1,10 +1,16 @@
 //! Parity harness for the batched inference path: `predict_batch`
-//! must agree with per-sample `predict` on every row, for untrained
-//! and trained models, across shard boundaries of the work splitter.
+//! must agree bitwise with per-sample `predict` on every row, for
+//! untrained and trained models, across the tile and worker
+//! boundaries of the work splitter and every register-block
+//! remainder of the lane kernels.
 
 use cati_nn::{Adam, TextCnn, TextCnnConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Row counts around the 8-lane tile: empty, a lone partial tile, one
+/// short of a tile, exactly one, one over, and several with a tail.
+const ROW_COUNTS: [usize; 6] = [0, 1, 7, 8, 9, 23];
 
 /// Deterministic pseudo-inputs covering a range of magnitudes.
 fn inputs(cfg: &TextCnnConfig, n: usize) -> Vec<Vec<f32>> {
@@ -17,14 +23,32 @@ fn inputs(cfg: &TextCnnConfig, n: usize) -> Vec<Vec<f32>> {
         .collect()
 }
 
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 fn assert_parity(model: &TextCnn, xs: &[Vec<f32>]) {
     let batch = model.predict_batch(xs);
     assert_eq!(batch.rows(), xs.len());
-    for (x, row) in xs.iter().zip(batch.rows_iter()) {
-        let single = model.predict(x);
-        assert_eq!(single.len(), row.len());
-        for (a, b) in single.iter().zip(row) {
-            assert!((a - b).abs() <= 1e-5, "batch/single diverge: {a} vs {b}");
+    for (i, (x, row)) in xs.iter().zip(batch.rows_iter()).enumerate() {
+        assert_eq!(
+            bits(&model.predict(x)),
+            bits(row),
+            "batch row {i} of {} diverges from predict()",
+            xs.len()
+        );
+    }
+}
+
+/// [`assert_parity`] for every row count, on one worker and on three.
+fn assert_parity_all_counts(model: &TextCnn) {
+    for threads in [1, 3] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        for n in ROW_COUNTS {
+            pool.install(|| assert_parity(model, &inputs(&model.cfg, n)));
         }
     }
 }
@@ -61,4 +85,36 @@ fn predict_batch_handles_empty_and_single_inputs() {
     let none: Vec<Vec<f32>> = Vec::new();
     assert!(model.predict_batch(&none).is_empty());
     assert_parity(&model, &inputs(&cfg, 1));
+}
+
+/// The inference benchmark's medium widths: channel and output counts
+/// that fill whole register blocks.
+#[test]
+fn predict_batch_matches_predict_at_medium_widths() {
+    let cfg = TextCnnConfig {
+        seq_len: 21,
+        embed_dim: 48,
+        conv1: 16,
+        conv2: 32,
+        fc: 256,
+        classes: 9,
+    };
+    assert_parity_all_counts(&TextCnn::new(cfg, 5));
+}
+
+/// Odd widths, so every channel, column and output remainder path of
+/// the register-blocked kernels runs.
+#[test]
+fn predict_batch_matches_predict_at_odd_widths() {
+    for classes in [3, 19] {
+        let cfg = TextCnnConfig {
+            seq_len: 21,
+            embed_dim: 5,
+            conv1: 5,
+            conv2: 7,
+            fc: 13,
+            classes,
+        };
+        assert_parity_all_counts(&TextCnn::new(cfg, 13));
+    }
 }
