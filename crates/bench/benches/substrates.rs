@@ -77,10 +77,13 @@ fn bench_cnn(c: &mut Criterion) {
             model.forward(&x, &mut ws);
         });
     });
-    c.bench_function("cnn_backward_paper_scale", |b| {
+    // One 8-sample minibatch: a single lane-major tile's forward and
+    // backward pass plus the optimizer step.
+    let tile: Vec<(Vec<f32>, usize)> = (0..8).map(|i| (x.clone(), i % 19)).collect();
+    c.bench_function("cnn_train_tile_paper_scale", |b| {
         b.iter_batched(
-            || (Workspace::default(), model.grad_buffers()),
-            |(mut ws, mut grads)| model.backward(&x, 3, &mut ws, &mut grads),
+            || (model.clone(), Adam::new(1e-3), StdRng::seed_from_u64(1)),
+            |(mut m, mut opt, mut rng)| m.train_epoch(&tile, &mut opt, 8, &mut rng),
             BatchSize::SmallInput,
         );
     });

@@ -124,9 +124,10 @@ impl MultiStage {
     /// Each stage derives its own RNG from `(seed, stage)`, so its
     /// data sampling and batch schedule never depend on how much
     /// randomness earlier stages consumed. That independence is what
-    /// lets the six stages train concurrently — one worker per stage
-    /// — while staying bit-identical to sequential training and to
-    /// any other thread count. Observers only read the computation,
+    /// lets the six stages train concurrently — each stage is its own
+    /// parallel task, and the workers split the six tasks into
+    /// contiguous runs — while staying bit-identical to sequential
+    /// training and to any other thread count. Observers only read the computation,
     /// so the trained models are identical whatever observer is
     /// installed.
     pub fn train(

@@ -764,6 +764,70 @@ mod tests {
         }
     }
 
+    /// Tile training over a shard-backed source is bitwise training
+    /// over the same rows in memory: after three epochs over
+    /// `ShardSamples` the parameters equal those of three epochs over a
+    /// `Vec`, at batch sizes around the 8-sample tile, sample counts
+    /// that leave partial tiles, and on one worker and on three. (The
+    /// in-memory trainer is pinned to the per-sample oracle in
+    /// `cati-nn`'s unit tests.)
+    #[test]
+    fn tile_training_over_shard_samples_matches_in_memory() {
+        use cati_nn::{Adam, SampleSource, TextCnn, TextCnnConfig};
+        use rand::{rngs::StdRng, SeedableRng};
+        let cfg = TextCnnConfig::tiny(3, 4);
+        let cols = cfg.seq_len * cfg.embed_dim;
+        let rows: Vec<(Vec<f32>, usize)> = (0..37)
+            .map(|i| {
+                let x = (0..cols).map(|c| ((i * cols + c) as f32 * 0.37).sin());
+                (x.collect(), i % cfg.classes)
+            })
+            .collect();
+        let dir = tempdir("tile-train");
+        let mut w = ShardWriter::create(&dir, cols, 8).expect("create");
+        for (x, label) in &rows {
+            w.push(*label as u8, x).expect("push");
+        }
+        w.finish("tile-train").expect("finish");
+        let set = ShardSet::open(&dir).expect("open");
+        fn train<S: SampleSource + ?Sized>(cfg: TextCnnConfig, data: &S, batch: usize) -> TextCnn {
+            let mut model = TextCnn::new(cfg, 3);
+            let mut opt = Adam::new(0.01);
+            let mut rng = StdRng::seed_from_u64(batch as u64);
+            for _ in 0..3 {
+                model.train_epoch(data, &mut opt, batch, &mut rng);
+            }
+            model
+        }
+        let bits = |m: &TextCnn| -> Vec<u32> {
+            m.params()
+                .iter()
+                .flat_map(|p| p.iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        for n in [1, 7, 9, 37] {
+            let plan: Vec<(u32, u16)> = (0..n).map(|i| (i as u32, rows[i].1 as u16)).collect();
+            let shard_src = ShardSamples::new(&set, plan);
+            let mem_src = rows[..n].to_vec();
+            for batch in [1, 5, 8, 13, 32, 64] {
+                for threads in [1, 3] {
+                    let pool = rayon::ThreadPoolBuilder::new()
+                        .num_threads(threads)
+                        .build()
+                        .expect("pool");
+                    let (streamed, in_memory) = pool
+                        .install(|| (train(cfg, &shard_src, batch), train(cfg, &mem_src, batch)));
+                    assert_eq!(
+                        bits(&streamed),
+                        bits(&in_memory),
+                        "{n} samples, batch {batch}, {threads} threads"
+                    );
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn missing_manifest_is_a_typed_error() {
         let dir = tempdir("nomanifest");

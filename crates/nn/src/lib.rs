@@ -2,10 +2,23 @@
 //!
 //! The paper trains its six stage classifiers with Keras on a GPU; we
 //! substitute a small, dependency-free CNN stack: [`layers`] with
-//! hand-written forward/backward passes (finite-difference checked in
-//! tests), the [`TextCnn`] model matching the paper's 2-layer
-//! 32→64-channel + FC-1024 architecture, and [`optim`] with Adam and
-//! momentum-SGD. Mini-batches parallelize across CPU cores via rayon.
+//! hand-written forward and backward kernels, the [`TextCnn`] model
+//! matching the paper's 2-layer 32→64-channel + FC-1024 architecture,
+//! and [`optim`] with Adam and momentum-SGD.
+//!
+//! Inference and training both run on *lane-major tiles* of
+//! [`layers::LANES`] = 8 samples, where the sample is the innermost
+//! index and every arithmetic op is an 8-wide SIMD op; the lane
+//! kernels are register-blocked and run the AVX2 build on CPUs that
+//! have it. Training splits each minibatch into 8-sample shards, runs
+//! each shard as one tile — forward, then the backward kernels, with
+//! the first convolution's input gradient skipped because the
+//! embeddings are frozen — and reduces the shard gradients in shard
+//! order across CPU cores. Every float chain is the one a one-sample
+//! pass computes, so the trained weights are bitwise those of
+//! training sample by sample, for any thread count; the tests pin this
+//! against a kept copy of the one-sample trainer and check the
+//! gradients against finite differences.
 //!
 //! # Example
 //!

@@ -7,8 +7,8 @@
 //! tests can run a tiny instance.
 
 use crate::layers::{
-    cross_entropy_backward, maxpool2, maxpool2_backward, maxpool2_lanes, relu, relu_backward,
-    softmax, Conv1d, Dense, LANES,
+    cross_entropy_backward, maxpool2, maxpool2_lanes, maxpool2_lanes_backward,
+    maxpool2_lanes_train, relu, relu_backward, softmax, Conv1d, Dense, LANES,
 };
 use crate::optim::{Adam, GradBuffers};
 use crate::param::ParamBuf;
@@ -147,22 +147,16 @@ pub struct TextCnn {
     fc2: Dense,
 }
 
-/// Per-sample forward activations cached for the backward pass.
+/// Per-sample forward activations of [`TextCnn::forward`], reused
+/// across calls.
 #[derive(Debug, Default, Clone)]
 pub struct Workspace {
     c1: Vec<f32>,
     p1: Vec<f32>,
-    a1: Vec<u32>,
     c2: Vec<f32>,
     p2: Vec<f32>,
-    a2: Vec<u32>,
     h: Vec<f32>,
     logits: Vec<f32>,
-    // backward scratch
-    gh: Vec<f32>,
-    gp2: Vec<f32>,
-    gp1: Vec<f32>,
-    gx: Vec<f32>,
 }
 
 /// Per-thread scratch of the fused tile pass ([`predict_fused`]): the
@@ -189,6 +183,43 @@ struct TileWorkspace {
     /// Per-sample probabilities `[LANES][Σ classes]`: row `j` holds
     /// sample `j`'s softmax rows of every model, in model order.
     probs: Vec<f32>,
+    /// The two max-pools' recorded choices, `[conv1][seq_len/2]` and
+    /// `[conv2][seq_len/4]` lane columns (training only).
+    left1: Vec<[bool; LANES]>,
+    left2: Vec<[bool; LANES]>,
+}
+
+/// Samples per minibatch shard: one lane-major tile.
+const SHARD: usize = LANES;
+
+/// Per-worker scratch of tile training ([`TextCnn::batch_gradients`]):
+/// the forward tiles, the gradient tiles of the backward pass (each
+/// shaped like the activation tile it belongs to) and the sample
+/// source's decode buffer, reused by every shard the worker runs.
+#[derive(Debug, Default)]
+struct TrainTile {
+    tw: TileWorkspace,
+    /// One live lane's probabilities, turned into its logit
+    /// gradients in place.
+    probs: Vec<f32>,
+    /// Logit gradients `[classes][LANES]`.
+    glogits: Vec<f32>,
+    gh: Vec<f32>,
+    gp2: Vec<f32>,
+    gc2: Vec<f32>,
+    gp1: Vec<f32>,
+    gc1: Vec<f32>,
+    scratch: Vec<f32>,
+}
+
+/// Scratch of one [`TextCnn::train_epoch_hooked`] call, reused by every
+/// minibatch: a gradient buffer and a loss per shard of the largest
+/// minibatch so far, and a [`TrainTile`] per worker.
+#[derive(Debug, Default)]
+struct TrainScratch {
+    grads: Vec<GradBuffers>,
+    losses: Vec<f64>,
+    tiles: Vec<TrainTile>,
 }
 
 /// Class probabilities of several models over the same rows in one
@@ -259,7 +290,7 @@ where
             tw.probs.resize(L * width, 0.0);
             let mut offset = 0;
             for model in models {
-                model.forward_tile(tw);
+                model.forward_tile(tw, false);
                 let classes = model.cfg.classes;
                 for (j, row) in tw.probs.chunks_exact_mut(width).take(n).enumerate() {
                     let out = &mut row[offset..offset + classes];
@@ -435,27 +466,16 @@ impl TextCnn {
         quantize_dequant_rows(self.fc2.w.to_mut(), self.fc2.in_dim, mode);
     }
 
-    /// Runs the conv → pool half of the network, leaving the pooled
-    /// feature vector in `ws.p2` (and the intermediate activations /
-    /// argmaxes the backward pass needs in the workspace).
-    fn conv_features(&self, x: &[f32], ws: &mut Workspace) {
+    /// Forward pass into `ws`; returns the logits slice.
+    pub fn forward<'w>(&self, x: &[f32], ws: &'w mut Workspace) -> &'w [f32] {
         let len = self.cfg.seq_len;
         self.conv1.forward(x, len, &mut ws.c1);
         relu(&mut ws.c1);
-        let (p1, a1) = maxpool2(&ws.c1, self.cfg.conv1, len);
-        ws.p1 = p1;
-        ws.a1 = a1;
+        ws.p1 = maxpool2(&ws.c1, self.cfg.conv1, len);
         let len2 = len / 2;
         self.conv2.forward(&ws.p1, len2, &mut ws.c2);
         relu(&mut ws.c2);
-        let (p2, a2) = maxpool2(&ws.c2, self.cfg.conv2, len2);
-        ws.p2 = p2;
-        ws.a2 = a2;
-    }
-
-    /// Forward pass into `ws`; returns the logits slice.
-    pub fn forward<'w>(&self, x: &[f32], ws: &'w mut Workspace) -> &'w [f32] {
-        self.conv_features(x, ws);
+        ws.p2 = maxpool2(&ws.c2, self.cfg.conv2, len2);
         self.fc1.forward(&ws.p2, &mut ws.h);
         relu(&mut ws.h);
         self.fc2.forward(&ws.h, &mut ws.logits);
@@ -489,52 +509,108 @@ impl TextCnn {
     }
 
     /// Runs the network on the lane-major input tile `tw.xt`, leaving
-    /// the `[classes][LANES]` logits in `tw.logits`.
-    fn forward_tile(&self, tw: &mut TileWorkspace) {
+    /// the `[classes][LANES]` logits in `tw.logits`; `train` also
+    /// records the max-pool choices the backward pass routes by.
+    fn forward_tile(&self, tw: &mut TileWorkspace, train: bool) {
         let len = self.cfg.seq_len;
         let len2 = len / 2;
         self.conv1.forward_lanes(&tw.xt, len, &mut tw.c1t);
         relu(&mut tw.c1t);
-        maxpool2_lanes(&tw.c1t, self.cfg.conv1, len, &mut tw.p1t);
+        if train {
+            maxpool2_lanes_train(&tw.c1t, self.cfg.conv1, len, &mut tw.p1t, &mut tw.left1);
+        } else {
+            maxpool2_lanes(&tw.c1t, self.cfg.conv1, len, &mut tw.p1t);
+        }
         self.conv2.forward_lanes(&tw.p1t, len2, &mut tw.c2t);
         relu(&mut tw.c2t);
-        maxpool2_lanes(&tw.c2t, self.cfg.conv2, len2, &mut tw.p2t);
+        if train {
+            maxpool2_lanes_train(&tw.c2t, self.cfg.conv2, len2, &mut tw.p2t, &mut tw.left2);
+        } else {
+            maxpool2_lanes(&tw.c2t, self.cfg.conv2, len2, &mut tw.p2t);
+        }
         self.fc1.forward_batch(&tw.p2t, &mut tw.h);
         relu(&mut tw.h);
         self.fc2.forward_batch(&tw.h, &mut tw.logits);
     }
 
-    /// Forward + backward for one `(x, label)`; accumulates gradients
-    /// into `grads` and returns the sample loss.
-    pub fn backward(
-        &self,
-        x: &[f32],
-        label: usize,
-        ws: &mut Workspace,
-        grads: &mut GradBuffers,
-    ) -> f32 {
-        let len = self.cfg.seq_len;
+    /// Forward and backward over the lane-major input tile `tt.tw.xt`,
+    /// whose first `labels.len()` lanes hold samples and the rest zero
+    /// padding. Accumulates the samples' gradients into `grads` and
+    /// returns their summed loss.
+    ///
+    /// Every float chain is the one-sample backward pass's, run sample
+    /// after sample: each live lane's loss and logit gradient come from
+    /// its own softmax, the lane kernels keep each lane's chains, and
+    /// every parameter gradient adds the live lanes in lane order, so
+    /// the padding never enters a sum. The embeddings are frozen, so
+    /// the first convolution's input gradient is never computed.
+    fn train_tile(&self, tt: &mut TrainTile, labels: &[usize], grads: &mut GradBuffers) -> f64 {
+        let (len, live, classes) = (self.cfg.seq_len, labels.len(), self.cfg.classes);
         let len2 = len / 2;
-        self.forward(x, ws);
-        let mut probs = ws.logits.clone();
-        softmax(&mut probs);
-        let loss = cross_entropy_backward(&mut probs, label);
-        let glogits = probs;
-
+        self.forward_tile(&mut tt.tw, true);
+        let tw = &tt.tw;
+        tt.glogits.clear();
+        tt.glogits.resize(classes * LANES, 0.0);
+        let mut loss = 0.0f64;
+        for (j, &label) in labels.iter().enumerate() {
+            tt.probs.clear();
+            tt.probs
+                .extend(tw.logits.iter().skip(j).step_by(LANES).take(classes));
+            softmax(&mut tt.probs);
+            loss += f64::from(cross_entropy_backward(&mut tt.probs, label));
+            for (c, &g) in tt.probs.iter().enumerate() {
+                tt.glogits[c * LANES + j] = g;
+            }
+        }
         let [gc1w, gc1b, gc2w, gc2b, gf1w, gf1b, gf2w, gf2b] = grads.as_mut_arrays();
-        self.fc2.backward(&ws.h, &glogits, &mut ws.gh, gf2w, gf2b);
-        relu_backward(&ws.h, &mut ws.gh);
-        let gh = std::mem::take(&mut ws.gh);
-        self.fc1.backward(&ws.p2, &gh, &mut ws.gp2, gf1w, gf1b);
-        ws.gh = gh;
-        let mut gc2 = maxpool2_backward(&ws.gp2, &ws.a2, self.cfg.conv2 * len2);
-        relu_backward(&ws.c2, &mut gc2);
+        self.fc2
+            .weight_grads_batch(&tw.h, &tt.glogits, live, gf2w, gf2b);
+        self.fc2.input_grad_batch(&tt.glogits, &mut tt.gh);
+        relu_backward(&tw.h, &mut tt.gh);
+        self.fc1
+            .weight_grads_batch(&tw.p2t, &tt.gh, live, gf1w, gf1b);
+        self.fc1.input_grad_batch(&tt.gh, &mut tt.gp2);
+        maxpool2_lanes_backward(&tt.gp2, &tw.left2, self.cfg.conv2, len2, &mut tt.gc2);
+        relu_backward(&tw.c2t, &mut tt.gc2);
         self.conv2
-            .backward(&ws.p1, len2, &gc2, &mut ws.gp1, gc2w, gc2b);
-        let mut gc1 = maxpool2_backward(&ws.gp1, &ws.a1, self.cfg.conv1 * len);
-        relu_backward(&ws.c1, &mut gc1);
-        self.conv1.backward(x, len, &gc1, &mut ws.gx, gc1w, gc1b);
+            .weight_grads_lanes(&tw.p1t, len2, &tt.gc2, live, gc2w, gc2b);
+        self.conv2.input_grad_lanes(&tt.gc2, len2, &mut tt.gp1);
+        maxpool2_lanes_backward(&tt.gp1, &tw.left1, self.cfg.conv1, len, &mut tt.gc1);
+        relu_backward(&tw.c1t, &mut tt.gc1);
+        self.conv1
+            .weight_grads_lanes(&tw.xt, len, &tt.gc1, live, gc1w, gc1b);
         loss
+    }
+
+    /// Runs the shards of `idxs` (the samples they index into `data`)
+    /// in order, shard `s` into the zeroed `grads[s]` with its summed
+    /// loss in `losses[s]`. Each shard's samples are transposed into
+    /// one lane-major tile, the rest zero-padded, and trained by
+    /// [`TextCnn::train_tile`].
+    fn run_shards<S: SampleSource + ?Sized>(
+        &self,
+        data: &S,
+        idxs: &[usize],
+        grads: &mut [GradBuffers],
+        losses: &mut [f64],
+        tt: &mut TrainTile,
+    ) {
+        let width = self.cfg.seq_len * self.cfg.embed_dim;
+        for ((shard, g), loss) in idxs.chunks(SHARD).zip(grads).zip(losses) {
+            tt.tw.xt.clear();
+            tt.tw.xt.resize(width * LANES, 0.0);
+            let mut labels = [0usize; SHARD];
+            for ((j, &i), label) in shard.iter().enumerate().zip(&mut labels) {
+                let (x, l) = data.sample(i, &mut tt.scratch);
+                assert_eq!(x.len(), width, "sample length");
+                *label = l;
+                for (dst, &v) in tt.tw.xt[j..].iter_mut().step_by(LANES).zip(x) {
+                    *dst = v;
+                }
+            }
+            g.zero();
+            *loss = self.train_tile(tt, &labels[..shard.len()], g);
+        }
     }
 
     /// Applies accumulated gradients through `opt` and clears them.
@@ -546,52 +622,67 @@ impl TextCnn {
         grads.zero();
     }
 
-    /// Accumulated gradients and summed loss of one minibatch (the
-    /// samples `idxs` indexes into `data`).
+    /// Accumulates the gradients of one non-empty minibatch (the
+    /// samples `idxs` indexes into `data`) into `scratch.grads[0]` and
+    /// returns its summed loss.
     ///
-    /// The minibatch is split into fixed shards — a function of the
-    /// batch alone, never of the thread count. Each worker owns one
-    /// [`Workspace`] and one [`GradBuffers`] per shard, accumulates
-    /// the shard's samples sequentially, and the shard buffers are
+    /// The minibatch is split into fixed [`SHARD`]-sample shards — a
+    /// function of the batch alone, never of the thread count — and
+    /// each shard runs as one lane-major tile
+    /// ([`TextCnn::train_tile`]) into its own zero-seeded gradient
+    /// buffer. Workers take contiguous runs of shards, reusing one
+    /// [`TrainTile`] each, and the shard buffers and losses are
     /// reduced strictly in shard order. Gradient sums are therefore
     /// bit-identical for any thread count.
-    pub fn batch_gradients<S: SampleSource + ?Sized>(
+    fn batch_gradients<S: SampleSource + ?Sized>(
         &self,
         data: &S,
         idxs: &[usize],
-    ) -> (GradBuffers, f64) {
-        /// Samples per worker shard: small enough to balance load,
-        /// large enough to amortize the per-shard buffer allocation.
-        const SHARD: usize = 8;
-        let shards: Vec<&[usize]> = idxs.chunks(SHARD).collect();
-        let partials: Vec<(GradBuffers, f64)> = shards
-            .par_iter()
-            .map(|shard| {
-                let mut ws = Workspace::default();
-                let mut scratch = Vec::new();
-                let mut g = self.grad_buffers();
-                let mut loss = 0.0f64;
-                for &i in *shard {
-                    let (x, label) = data.sample(i, &mut scratch);
-                    loss += f64::from(self.backward(x, label, &mut ws, &mut g));
-                }
-                (g, loss)
-            })
-            .collect();
-        let mut partials = partials.into_iter();
-        let (mut grads, mut loss) = partials
-            .next()
-            .unwrap_or_else(|| (self.grad_buffers(), 0.0));
-        for (g, l) in partials {
-            grads.add(&g);
-            loss += l;
+        scratch: &mut TrainScratch,
+    ) -> f64 {
+        assert!(!idxs.is_empty(), "empty minibatch");
+        let shards = idxs.len().div_ceil(SHARD);
+        let TrainScratch {
+            grads,
+            losses,
+            tiles,
+        } = scratch;
+        if grads.len() < shards {
+            grads.resize_with(shards, || self.grad_buffers());
+            losses.resize(shards, 0.0);
         }
-        (grads, loss)
+        let workers = rayon::current_num_threads().clamp(1, shards);
+        if tiles.len() < workers {
+            tiles.resize_with(workers, TrainTile::default);
+        }
+        if workers == 1 {
+            self.run_shards(data, idxs, grads, losses, &mut tiles[0]);
+        } else {
+            let per_worker = shards.div_ceil(workers);
+            let runs = idxs
+                .chunks(per_worker * SHARD)
+                .zip(grads.chunks_mut(per_worker))
+                .zip(losses.chunks_mut(per_worker))
+                .zip(tiles.iter_mut());
+            std::thread::scope(|s| {
+                for (((idxs, grads), losses), tt) in runs {
+                    s.spawn(|| self.run_shards(data, idxs, grads, losses, tt));
+                }
+            });
+        }
+        let (total, rest) = grads[..shards]
+            .split_first_mut()
+            .expect("a non-empty minibatch has a shard");
+        for g in rest.iter() {
+            total.add(g);
+        }
+        losses[1..shards].iter().fold(losses[0], |sum, &l| sum + l)
     }
 
     /// One epoch of mini-batch training over `data`, shuffled with
-    /// `rng`; per-sample backward passes run data-parallel via
-    /// [`TextCnn::batch_gradients`]. Returns the mean loss.
+    /// `rng`; each minibatch's 8-sample shards run as lane-major tiles,
+    /// data-parallel with a shard-ordered reduction (see the crate
+    /// docs). Returns the mean loss.
     pub fn train_epoch<S: SampleSource + ?Sized>(
         &mut self,
         data: &S,
@@ -618,12 +709,14 @@ impl TextCnn {
         order.shuffle(rng);
         let mut total_loss = 0.0f64;
         let wants_norm = hook.wants_grad_norm();
+        let mut scratch = TrainScratch::default();
         for (batch, chunk) in order.chunks(batch_size.max(1)).enumerate() {
-            let (mut grads, loss) = self.batch_gradients(data, chunk);
+            let loss = self.batch_gradients(data, chunk, &mut scratch);
+            let grads = &mut scratch.grads[0];
             total_loss += loss;
             let grad_norm = wants_norm.then(|| grads.norm());
             hook.on_batch(batch, (loss / chunk.len().max(1) as f64) as f32, grad_norm);
-            self.apply_grads(&mut grads, opt, chunk.len());
+            self.apply_grads(grads, opt, chunk.len());
         }
         let mean = (total_loss / data.len().max(1) as f64) as f32;
         hook.on_epoch(mean);
@@ -759,6 +852,235 @@ mod tests {
         let restored: TextCnn = serde_json::from_str(&json).unwrap();
         let x = vec![0.25; cfg.embed_dim * cfg.seq_len];
         assert_eq!(model.predict(&x), restored.predict(&x));
+    }
+
+    /// The trainer before it moved onto lane-major tiles — every
+    /// sample through the one-sample backward pass, a fresh
+    /// `GradBuffers` per 8-sample shard — kept verbatim as the parity
+    /// oracle of the tile trainer.
+    mod oracle {
+        use super::super::*;
+        use crate::layers::reference::{maxpool2_argmax, maxpool2_backward};
+
+        #[derive(Default)]
+        struct Workspace {
+            c1: Vec<f32>,
+            p1: Vec<f32>,
+            a1: Vec<u32>,
+            c2: Vec<f32>,
+            p2: Vec<f32>,
+            a2: Vec<u32>,
+            h: Vec<f32>,
+            logits: Vec<f32>,
+            gh: Vec<f32>,
+            gp2: Vec<f32>,
+            gp1: Vec<f32>,
+            gx: Vec<f32>,
+        }
+
+        fn forward(m: &TextCnn, x: &[f32], ws: &mut Workspace) {
+            let len = m.cfg.seq_len;
+            m.conv1.forward(x, len, &mut ws.c1);
+            relu(&mut ws.c1);
+            let (p1, a1) = maxpool2_argmax(&ws.c1, m.cfg.conv1, len);
+            ws.p1 = p1;
+            ws.a1 = a1;
+            let len2 = len / 2;
+            m.conv2.forward(&ws.p1, len2, &mut ws.c2);
+            relu(&mut ws.c2);
+            let (p2, a2) = maxpool2_argmax(&ws.c2, m.cfg.conv2, len2);
+            ws.p2 = p2;
+            ws.a2 = a2;
+            m.fc1.forward(&ws.p2, &mut ws.h);
+            relu(&mut ws.h);
+            m.fc2.forward(&ws.h, &mut ws.logits);
+        }
+
+        fn backward(
+            m: &TextCnn,
+            x: &[f32],
+            label: usize,
+            ws: &mut Workspace,
+            grads: &mut GradBuffers,
+        ) -> f32 {
+            let len = m.cfg.seq_len;
+            let len2 = len / 2;
+            forward(m, x, ws);
+            let mut probs = ws.logits.clone();
+            softmax(&mut probs);
+            let loss = cross_entropy_backward(&mut probs, label);
+            let glogits = probs;
+
+            let [gc1w, gc1b, gc2w, gc2b, gf1w, gf1b, gf2w, gf2b] = grads.as_mut_arrays();
+            m.fc2.backward(&ws.h, &glogits, &mut ws.gh, gf2w, gf2b);
+            relu_backward(&ws.h, &mut ws.gh);
+            let gh = std::mem::take(&mut ws.gh);
+            m.fc1.backward(&ws.p2, &gh, &mut ws.gp2, gf1w, gf1b);
+            ws.gh = gh;
+            let mut gc2 = maxpool2_backward(&ws.gp2, &ws.a2, m.cfg.conv2 * len2);
+            relu_backward(&ws.c2, &mut gc2);
+            m.conv2
+                .backward(&ws.p1, len2, &gc2, &mut ws.gp1, gc2w, gc2b);
+            let mut gc1 = maxpool2_backward(&ws.gp1, &ws.a1, m.cfg.conv1 * len);
+            relu_backward(&ws.c1, &mut gc1);
+            m.conv1.backward(x, len, &gc1, &mut ws.gx, gc1w, gc1b);
+            loss
+        }
+
+        fn batch_gradients<S: SampleSource + ?Sized>(
+            m: &TextCnn,
+            data: &S,
+            idxs: &[usize],
+        ) -> (GradBuffers, f64) {
+            const SHARD: usize = 8;
+            let shards: Vec<&[usize]> = idxs.chunks(SHARD).collect();
+            let partials: Vec<(GradBuffers, f64)> = shards
+                .par_iter()
+                .map(|shard| {
+                    let mut ws = Workspace::default();
+                    let mut scratch = Vec::new();
+                    let mut g = m.grad_buffers();
+                    let mut loss = 0.0f64;
+                    for &i in *shard {
+                        let (x, label) = data.sample(i, &mut scratch);
+                        loss += f64::from(backward(m, x, label, &mut ws, &mut g));
+                    }
+                    (g, loss)
+                })
+                .collect();
+            let mut partials = partials.into_iter();
+            let (mut grads, mut loss) = partials.next().unwrap_or_else(|| (m.grad_buffers(), 0.0));
+            for (g, l) in partials {
+                grads.add(&g);
+                loss += l;
+            }
+            (grads, loss)
+        }
+
+        pub(super) fn train_epoch<S: SampleSource + ?Sized>(
+            m: &mut TextCnn,
+            data: &S,
+            opt: &mut Adam,
+            batch_size: usize,
+            rng: &mut StdRng,
+        ) -> f32 {
+            let mut order: Vec<usize> = (0..data.len()).collect();
+            order.shuffle(rng);
+            let mut total_loss = 0.0f64;
+            for chunk in order.chunks(batch_size.max(1)) {
+                let (mut grads, loss) = batch_gradients(m, data, chunk);
+                total_loss += loss;
+                m.apply_grads(&mut grads, opt, chunk.len());
+            }
+            (total_loss / data.len().max(1) as f64) as f32
+        }
+    }
+
+    /// A source that decodes each sample into the caller's scratch and
+    /// borrows from it, as an out-of-core source does.
+    struct Decoding<'a>(&'a [(Vec<f32>, usize)]);
+
+    impl SampleSource for Decoding<'_> {
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+
+        fn sample<'s>(&'s self, idx: usize, scratch: &'s mut Vec<f32>) -> (&'s [f32], usize) {
+            let (x, label) = &self.0[idx];
+            scratch.clear();
+            scratch.extend_from_slice(x);
+            (scratch.as_slice(), *label)
+        }
+    }
+
+    /// The model's parameters as little-endian bytes.
+    fn param_bytes(model: &TextCnn) -> Vec<u8> {
+        model
+            .params()
+            .iter()
+            .flat_map(|p| p.iter().flat_map(|v| v.to_le_bytes()))
+            .collect()
+    }
+
+    /// Three epochs of training from a fixed start; returns the
+    /// trained model's parameter bytes and the epochs' mean losses.
+    fn train_three_epochs(
+        cfg: TextCnnConfig,
+        batch: usize,
+        mut epoch: impl FnMut(&mut TextCnn, &mut Adam, &mut StdRng) -> f32,
+    ) -> (Vec<u8>, Vec<u32>) {
+        let mut model = TextCnn::new(cfg, 17);
+        let mut opt = Adam::new(0.01);
+        let mut rng = StdRng::seed_from_u64(batch as u64);
+        let losses = (0..3)
+            .map(|_| epoch(&mut model, &mut opt, &mut rng).to_bits())
+            .collect();
+        (param_bytes(&model), losses)
+    }
+
+    /// The tile trainer is bitwise the per-sample trainer: after three
+    /// epochs the parameter bytes and every epoch's loss are equal —
+    /// at widths that fill and leave every register block, batch sizes
+    /// around the 8-sample shard, sample counts that leave partial
+    /// tiles, on one worker and on three, over an in-memory source and
+    /// a decoding one.
+    #[test]
+    fn tile_training_is_bitwise_equal_to_per_sample_training() {
+        let odd = |classes| TextCnnConfig {
+            seq_len: 21,
+            embed_dim: 5,
+            conv1: 5,
+            conv2: 7,
+            fc: 13,
+            classes,
+        };
+        let medium = TextCnnConfig {
+            seq_len: 21,
+            embed_dim: 48,
+            conv1: 16,
+            conv2: 32,
+            fc: 256,
+            classes: 9,
+        };
+        let pools: Vec<_> = [1, 3]
+            .map(|n| {
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(n)
+                    .build()
+                    .unwrap()
+            })
+            .into();
+        for cfg in [TextCnnConfig::tiny(4, 2), medium, odd(3), odd(19)] {
+            for n in [1, 7, 9, 37] {
+                let mut data = toy_dataset(cfg, n);
+                for (i, (_, label)) in data.iter_mut().enumerate() {
+                    *label = (i * 7) % cfg.classes;
+                }
+                for batch in [1, 5, 8, 13, 32, 64] {
+                    let want = train_three_epochs(cfg, batch, |m, opt, rng| {
+                        oracle::train_epoch(m, &data, opt, batch, rng)
+                    });
+                    for pool in &pools {
+                        let tiled = pool.install(|| {
+                            train_three_epochs(cfg, batch, |m, opt, rng| {
+                                m.train_epoch(&data, opt, batch, rng)
+                            })
+                        });
+                        let decoded = pool.install(|| {
+                            train_three_epochs(cfg, batch, |m, opt, rng| {
+                                m.train_epoch(&Decoding(&data), opt, batch, rng)
+                            })
+                        });
+                        let case = format!(
+                            "{cfg:?}, {n} samples, batch {batch}, {} threads",
+                            pool.current_num_threads()
+                        );
+                        assert!(tiled == want, "in-memory source diverges: {case}");
+                        assert!(decoded == want, "decoding source diverges: {case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -59,11 +59,11 @@ proptest! {
     fn maxpool_output_bounds_input(x in proptest::collection::vec(-100.0f32..100.0, 8..64)) {
         let len = x.len() / 2 * 2; // even prefix
         let x = &x[..len];
-        let (y, arg) = layers::maxpool2(x, 1, len);
+        let y = layers::maxpool2(x, 1, len);
         prop_assert_eq!(y.len(), len / 2);
         for (i, v) in y.iter().enumerate() {
-            prop_assert_eq!(*v, x[arg[i] as usize]);
             let (a, b) = (x[2 * i], x[2 * i + 1]);
+            prop_assert!(*v == a || *v == b);
             prop_assert_eq!(*v, a.max(b));
         }
     }
