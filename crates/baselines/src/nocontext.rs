@@ -10,7 +10,6 @@ use cati_analysis::{Extraction, WINDOW};
 use cati_asm::generalize::GenInsn;
 use cati_dwarf::TypeClass;
 use cati_embedding::VucEmbedder;
-use serde::{Deserialize, Serialize};
 
 /// Blanks every non-center instruction of a window.
 pub fn blank_context(window: &[GenInsn]) -> Vec<GenInsn> {
@@ -39,7 +38,7 @@ pub fn blank_extraction(ex: &Extraction) -> Extraction {
 
 /// CATI without context: same embedder, same six-stage tree, blanked
 /// windows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NoContextCati {
     /// Shared embedder (trained on full code).
     pub embedder: VucEmbedder,

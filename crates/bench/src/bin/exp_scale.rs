@@ -393,18 +393,6 @@ fn main() {
     )
     .expect("write BENCH_scale.json");
     println!("wrote {}", out.display());
-
-    let history_line = json!({
-        "git_rev": rev.as_deref().unwrap_or("unknown"),
-        "unix_ms": stamped_ms,
-        "scale": scale.name(),
-        "max_binaries": field(last, "binaries"),
-        "max_rows": field(last, "rows"),
-        "var_accuracy": last["var_accuracy"].as_f64().unwrap_or(0.0),
-        "rss_growth": rss_growth,
-    });
-    cati::obs::bench::append_history(workspace_path("results/bench_history.jsonl"), &history_line)
-        .expect("append bench history");
     run.finish(&json!({
         "experiment": "scale",
         "scale": scale.name(),

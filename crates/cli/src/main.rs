@@ -8,7 +8,6 @@
 //! cati vars BINARY.json
 //! cati train --corpus DIR --out MODEL.cati [--scale S] [--threads N]
 //! cati infer --model MODEL.cati BINARY.json [--threads N]
-//! cati convert --model MODEL --out FILE [--format cati1|json]
 //! cati strip BINARY.json --out STRIPPED.json
 //! ```
 //!
@@ -425,7 +424,7 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
     let model = args
         .flags
         .get("model")
-        .ok_or("infer requires --model MODEL.json")?;
+        .ok_or("infer requires --model MODEL.cati")?;
     let path = args
         .positional
         .first()
@@ -440,17 +439,6 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
     // explicit --context overrides (e.g. to probe mode mismatch).
     if let Some(mode) = context_of(args)? {
         cati.config.context_mode = mode;
-    }
-    // Opt-in quantized inference: snap the weights before anything is
-    // embedded or cached. Deterministic, but not bit-identical to the
-    // f32 model — see DESIGN.md §15.
-    let quantize = args
-        .flags
-        .get("quantize")
-        .map(|m| cati::nn::QuantMode::parse(m))
-        .transpose()?;
-    if let Some(mode) = quantize {
-        cati.quantize(mode);
     }
     let recorder = recorder_of(args);
     let lenient = lenient_of(args)?;
@@ -477,7 +465,6 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
             "binary": path.as_str(),
             "mode": "lenient",
             "context": cati.config.context_mode.name(),
-            "quantize": quantize.map_or("none", |m| m.name()),
             "variables": inferred.len(),
             "cache_hits": recorder.metrics().counter_value("cache.hit"),
             "cache_misses": recorder.metrics().counter_value("cache.miss"),
@@ -489,7 +476,6 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
             "binary": path.as_str(),
             "mode": "strict",
             "context": cati.config.context_mode.name(),
-            "quantize": quantize.map_or("none", |m| m.name()),
             "variables": inferred.len(),
             "cache_hits": recorder.metrics().counter_value("cache.hit"),
             "cache_misses": recorder.metrics().counter_value("cache.miss"),
@@ -793,40 +779,11 @@ fn load_manifest(path: &str) -> Result<Manifest, String> {
     Manifest::parse(&text).map_err(|e| format!("parse {path}: {e}"))
 }
 
-/// `cati report CURRENT --bench-diff BASELINE`: compares two bench
-/// records across the key metrics and exits non-zero on regression
-/// (unless `--warn-only`).
-fn cmd_bench_diff(args: &Args, current_path: &str, baseline_path: &str) -> Result<(), String> {
-    use cati::obs::bench::{BenchDiff, BenchRecord};
-    let base = BenchRecord::load(baseline_path)?;
-    let current = BenchRecord::load(current_path)?;
-    let threshold: f64 = args
-        .flags
-        .get("threshold")
-        .map(|s| s.parse().map_err(|_| "bad --threshold (want percent)"))
-        .transpose()?
-        .unwrap_or(10.0);
-    let diff = BenchDiff::compare(&base, &current, threshold);
-    print!("{}", diff.render(&base, &current));
-    let regressed = diff.regressions();
-    if !regressed.is_empty() && !args.switches.contains("warn-only") {
-        return Err(format!(
-            "bench regression past ±{:.1}%: {}",
-            diff.threshold_pct,
-            regressed.join(", ")
-        ));
-    }
-    Ok(())
-}
-
 fn cmd_report(args: &Args) -> Result<(), String> {
     let path = args
         .positional
         .first()
         .ok_or("report requires a manifest path")?;
-    if let Some(baseline) = args.flags.get("bench-diff") {
-        return cmd_bench_diff(args, path, baseline);
-    }
     let manifest = load_manifest(path)?;
     if let Some(out) = args.flags.get("trace") {
         return write_chrome_trace(&manifest, out);
@@ -849,36 +806,6 @@ fn cmd_report(args: &Args) -> Result<(), String> {
         }
         None => print!("{}", manifest.render()),
     }
-    Ok(())
-}
-
-fn cmd_convert(args: &Args) -> Result<(), String> {
-    let model = args
-        .flags
-        .get("model")
-        .ok_or("convert requires --model MODEL")?;
-    let out = args.flags.get("out").ok_or("convert requires --out FILE")?;
-    let format = args
-        .flags
-        .get("format")
-        .map(String::as_str)
-        .unwrap_or("cati1");
-    let cati = Cati::load(model).map_err(|e| e.to_string())?;
-    match format {
-        "cati1" => cati.save(out).map_err(|e| e.to_string())?,
-        "cati1-v1" => {
-            // Downgrade to the legacy packed layout for pre-v2 readers.
-            let bytes = cati::encode_cati1_v1(&cati);
-            std::fs::write(out, bytes).map_err(|e| format!("write {out}: {e}"))?;
-        }
-        "json" => cati.save_json(out).map_err(|e| e.to_string())?,
-        other => {
-            return Err(format!(
-                "unknown --format `{other}` (want cati1, cati1-v1 or json)"
-            ))
-        }
-    }
-    println!("model converted to {format}: {out}");
     Ok(())
 }
 
@@ -965,13 +892,11 @@ USAGE:
   cati train --corpus DIR --out MODEL.cati [--scale small|medium|paper] [--threads N]
              [--checkpoint-dir DIR] [--resume] [--context function|interproc]
   cati infer --model MODEL.cati BINARY.json [--strict|--lenient] [--json] [--threads N] [--cache-dir DIR]
-             [--quantize int8|f16] [--context function|interproc]
+             [--context function|interproc]
   cati fuzz [--seed N] [--mutants N] [--budget 60s] [--hang-limit-ms N] [--out DIR] [--replay CASE.json]
   cati serve --model MODEL.cati [--addr HOST:PORT] [--queue-capacity N] [--max-batch N] [--workers N]
              [--hang-limit-ms N] [--cache-dir DIR] [--threads N] [--manifest PATH]
   cati report MANIFEST.jsonl [OTHER.jsonl] [--validate] [--trace OUT.json]
-  cati report CURRENT.json --bench-diff BASELINE.json [--threshold PCT] [--warn-only]
-  cati convert --model MODEL --out FILE [--format cati1|cati1-v1|json]
   cati strip BINARY.json --out STRIPPED.json
 
 Context assembly (vars, train and infer):
@@ -1042,24 +967,12 @@ bit-identical with or without the cache. Cache traffic is reported as
 cache_hits / cache_misses in the run manifest.
 
 Model format:
-  `cati train` writes models as CATI1 v2 — a versioned, checksummed
-  binary container (magic header, section table, flat little-endian
-  f32 weight tensors, each 64-byte aligned so loading memory-maps the
-  weights zero-copy). `cati infer` and `cati convert` sniff the format
-  from the first bytes, so v1 containers and legacy JSON models keep
-  working (they load with one copy). `cati convert` rewrites a model
-  in any direction:
-    cati convert --model old.json --out model.cati               # JSON -> CATI1 v2
-    cati convert --model model.cati --out m.json --format json   # CATI1 -> JSON
-    cati convert --model model.cati --out v1.cati --format cati1-v1  # v2 -> legacy v1
-
-Quantized inference:
-  `cati infer --quantize int8|f16` snaps the loaded weights onto a
-  coarser grid before inference (per-row symmetric int8, or IEEE
-  binary16), dequantized back to f32 so every kernel runs the normal
-  deterministic path. Output is reproducible but NOT bit-identical to
-  the f32 model; the accuracy delta is measured by the bench parity
-  harness and recorded in its run manifest.
+  Models are CATI1 v2 files — a versioned, checksummed binary
+  container (magic header, section table, flat little-endian f32
+  weight tensors, each 64-byte aligned so loading memory-maps the
+  weights zero-copy). It is the only format `cati` reads or writes;
+  any other file, or any other container version, is refused with
+  what was found.
 
 Telemetry (train, infer, serve):
   --log-format text|json        live event mirror on stderr (default text)
@@ -1075,15 +988,9 @@ trace (--trace OUT.json), or with --validate checks structure (meta
 line, spans/losses, monotonic timestamps) and exits non-zero on
 failure.
 
-Perf observatory:
-  `cargo run -p cati-bench --release --bin exp_speed` stamps git_rev /
-  unix_ms into results/BENCH_speed.json and appends a flat record to
-  results/bench_history.jsonl. `cati report CURRENT --bench-diff
-  BASELINE` compares the key metrics (infer_vucs_per_s,
-  embed_rows_per_s, serve_reqs_per_s, serve_p99_ms, model_load_ms)
-  against a noise threshold (--threshold PCT, default 10) and exits
-  non-zero on regression; --warn-only reports without failing. Either
-  side may be a single JSON record or JSONL history (last line wins).
+Speed is measured by perfbench (perfbench/README.md): repeated runs
+of the workloads declared in BENCHMARK.json, with spreads, bounds and
+a per-layer ledger.
 
 Per-span allocation columns (alloc bytes / count in --trace output,
 `cati report`, and /debug/profile) need the counting allocator:
@@ -1113,7 +1020,6 @@ fn main() -> ExitCode {
         "fuzz" => cmd_fuzz(&args),
         "serve" => cmd_serve(&args),
         "report" => cmd_report(&args),
-        "convert" => cmd_convert(&args),
         "strip" => cmd_strip(&args),
         "help" | "--help" | "-h" => {
             print!("{USAGE}");

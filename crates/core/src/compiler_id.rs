@@ -15,10 +15,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// A trained GCC-vs-Clang classifier over VUC windows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompilerId {
     model: TextCnn,
 }

@@ -16,10 +16,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// A CATI classifier for DEBIN's 17-label task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DebinTask {
     model: TextCnn,
     threshold: f32,

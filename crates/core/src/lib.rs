@@ -64,10 +64,7 @@ pub use config::Config;
 pub use dataset::{class_histogram, embedding_sentences, Dataset};
 pub use debin::DebinTask;
 pub use metrics::{confusion, Confusion, Prf};
-pub use model_io::{
-    decode_cati1, encode_cati1, encode_cati1_v1, is_cati1, CATI1_ALIGN, CATI1_MAGIC,
-    CATI1_MIN_VERSION, CATI1_VERSION,
-};
+pub use model_io::{decode_cati1, encode_cati1, is_cati1, CATI1_ALIGN, CATI1_MAGIC, CATI1_VERSION};
 pub use multistage::{MultiStage, StreamError, StreamOptions};
 pub use occlusion::{
     importance_heatmap, occlusion_epsilons, occlusion_epsilons_embedded, ImportanceHeatmap,

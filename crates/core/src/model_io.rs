@@ -1,15 +1,13 @@
-//! The CATI1 binary model container.
+//! The CATI1 binary model container — the one model format.
 //!
-//! A trained [`Cati`] used to persist as one serde-JSON blob; loading
-//! it paid a full-text parse of every weight. The CATI1 container
-//! instead stores the weights as named little-endian `f32` tensors and
-//! keeps JSON only for the small structured head (configuration and
-//! vocabulary). Layout (all integers little-endian; see DESIGN.md
-//! §12/§15):
+//! The container stores the weights as named little-endian `f32`
+//! tensors and keeps JSON only for the small structured head
+//! (configuration and vocabulary). Layout (all integers
+//! little-endian; see DESIGN.md §12/§15):
 //!
 //! ```text
 //! magic        8 bytes   "CATI1\r\n\0"
-//! version      u32       container version (1 or 2)
+//! version      u32       container version (always 2)
 //! n_sections   u32
 //! section table, per section:
 //!     name_len u32
@@ -19,9 +17,8 @@
 //!     digest   u128      FNV-1a/128 of the payload
 //! table digest u128      FNV-1a/128 over magic, version, count and
 //!                        every table entry (names length-prefixed)
-//! payloads     section payloads, in table order (v1: packed;
-//!              v2: each starting on a 64-byte file offset, with
-//!              zero padding between)
+//! payloads     section payloads, in table order, each starting on a
+//!              64-byte file offset, with zero padding between
 //! ```
 //!
 //! Two sections: `meta` (JSON: pipeline config, Word2Vec config,
@@ -31,28 +28,20 @@
 //! is a pure function of the model, so re-saving an unchanged model
 //! is byte-identical.
 //!
-//! The `tensors` payload differs by version:
+//! The `tensors` payload separates an index from a data region:
+//! count, then per tensor `{name_len, name, elems u64, rel_off u64}`,
+//! then zero padding so the data region starts on a 64-byte boundary,
+//! then each tensor's raw `f32` data at its `rel_off` — every
+//! `rel_off` 64-byte aligned, with zero padding between tensors.
+//! Because section payloads also start on 64-byte *file* offsets,
+//! every tensor's absolute file offset is 64-byte aligned, so
+//! [`load_model`] can `mmap` the file and hand out weight slices that
+//! point straight into the page cache (zero-copy; see
+//! `cati_nn::mmap`).
 //!
-//! - **v1** interleaves data with headers: count, then per tensor a
-//!   length-prefixed name, a u64 element count, and the raw `f32`
-//!   data. Simple, but tensor data lands at arbitrary offsets, so
-//!   loading must copy.
-//! - **v2** separates an index from a data region: count, then per
-//!   tensor `{name_len, name, elems u64, rel_off u64}`, then zero
-//!   padding so the data region starts on a 64-byte boundary, then
-//!   each tensor's raw `f32` data at its `rel_off` — every `rel_off`
-//!   64-byte aligned, with zero padding between tensors. Because v2
-//!   section payloads also start on 64-byte *file* offsets, every
-//!   tensor's absolute file offset is 64-byte aligned, so
-//!   [`load_model`] can `mmap` the file and hand out weight slices
-//!   that point straight into the page cache (zero-copy; see
-//!   `cati_nn::mmap`).
-//!
-//! [`load_model`] sniffs the format: CATI1 by magic (v1 copies, v2
-//! maps), legacy JSON by a leading `{`; anything else fails with a
-//! hex preview of the first bytes. Loaded models are bit-identical to
-//! what was saved, whichever format carried them. `cati convert`
-//! migrates between all three.
+//! [`load_model`] accepts version 2 only. Any other version, and any
+//! file without the magic, fails with what was found (the version
+//! number, or a hex preview of the first bytes).
 
 use crate::pipeline::Cati;
 use cati_analysis::{digest_bytes, Fnv128};
@@ -71,10 +60,7 @@ pub const CATI1_MAGIC: [u8; 8] = *b"CATI1\r\n\0";
 /// Container format version written by [`encode_cati1`].
 pub const CATI1_VERSION: u32 = 2;
 
-/// Oldest container version [`decode_cati1`] still reads.
-pub const CATI1_MIN_VERSION: u32 = 1;
-
-/// Alignment (bytes) of every v2 section payload and tensor datum.
+/// Alignment (bytes) of every section payload and tensor datum.
 /// 64 covers `f32` (so mapped slices are directly viewable), SIMD
 /// vector loads, and cache-line-aligned weight rows.
 pub const CATI1_ALIGN: usize = 64;
@@ -130,31 +116,14 @@ fn meta_blob(cati: &Cati) -> Vec<u8> {
     serde_json::to_vec(&serde::Value::Object(m)).unwrap_or_default()
 }
 
-/// The v1 `tensors` section payload: count, then per tensor a
-/// length-prefixed name, a u64 element count, and raw LE `f32` data.
-fn tensor_blob_v1(tensors: &[(String, &[f32])]) -> Vec<u8> {
-    let floats: usize = tensors.iter().map(|(_, t)| t.len()).sum();
-    let mut out = Vec::with_capacity(4 + floats * 4 + tensors.len() * 24);
-    out.extend_from_slice(&(tensors.len() as u32).to_le_bytes());
-    for (name, data) in tensors {
-        out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        out.extend_from_slice(name.as_bytes());
-        out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-        for v in *data {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    out
-}
-
-/// The v2 `tensors` section payload: an index (count, then per tensor
+/// The `tensors` section payload: an index (count, then per tensor
 /// name / element count / section-relative data offset), zero padding
 /// to a [`CATI1_ALIGN`] boundary, then each tensor's raw LE `f32`
 /// data at its recorded offset — every offset aligned, zero padding
 /// between tensors. Combined with aligned section placement this
 /// makes every tensor's *file* offset 64-byte aligned, which is what
 /// lets the loader view mapped bytes as `&[f32]` directly.
-fn tensor_blob_v2(tensors: &[(String, &[f32])]) -> Vec<u8> {
+fn tensor_blob(tensors: &[(String, &[f32])]) -> Vec<u8> {
     let index_len: usize = 4 + tensors
         .iter()
         .map(|(n, _)| 4 + n.len() + 8 + 8)
@@ -186,40 +155,27 @@ fn tensor_blob_v2(tensors: &[(String, &[f32])]) -> Vec<u8> {
     out
 }
 
-/// Assembles a container of the given `version` from a `meta` payload
-/// and named tensors. v1 packs payloads back to back; v2 starts every
-/// payload on a [`CATI1_ALIGN`]-byte file offset.
-fn encode_raw(version: u32, meta: &[u8], tensors: &[(String, &[f32])]) -> Vec<u8> {
-    let sections: Vec<(&str, Vec<u8>)> = vec![
-        ("meta", meta.to_vec()),
-        (
-            "tensors",
-            if version == 1 {
-                tensor_blob_v1(tensors)
-            } else {
-                tensor_blob_v2(tensors)
-            },
-        ),
-    ];
+/// Encodes an arbitrary `(meta JSON, named tensors)` pair as a CATI1
+/// container, starting every payload on a [`CATI1_ALIGN`]-byte file
+/// offset. Models and the epoch checkpoints share this framing —
+/// checksummed section table, aligned tensor payloads, whole-file
+/// integrity — the checkpoints for model weights *and* the optimizer
+/// moments riding alongside them.
+pub(crate) fn encode_meta_tensors(meta: &[u8], tensors: &[(String, &[f32])]) -> Vec<u8> {
+    let sections: Vec<(&str, Vec<u8>)> =
+        vec![("meta", meta.to_vec()), ("tensors", tensor_blob(tensors))];
     let table_len: usize = sections.iter().map(|(n, _)| 4 + n.len() + 8 + 8 + 16).sum();
     let header_len = CATI1_MAGIC.len() + 4 + 4 + table_len + 16;
     let payload_len: usize = sections.iter().map(|(_, p)| p.len()).sum();
-    let place = |end: usize| {
-        if version == 1 {
-            end
-        } else {
-            align_up(end)
-        }
-    };
-    let mut out = Vec::with_capacity(place(header_len) + payload_len + CATI1_ALIGN);
+    let mut out = Vec::with_capacity(align_up(header_len) + payload_len + CATI1_ALIGN);
     out.extend_from_slice(&CATI1_MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&CATI1_VERSION.to_le_bytes());
     out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
     let mut hasher = Fnv128::new();
     hasher.update(&CATI1_MAGIC);
-    hasher.update_u32(version);
+    hasher.update_u32(CATI1_VERSION);
     hasher.update_u32(sections.len() as u32);
-    let mut offset = place(header_len);
+    let mut offset = align_up(header_len);
     let mut offsets = Vec::with_capacity(sections.len());
     for (name, payload) in &sections {
         let digest = digest_bytes(payload);
@@ -233,7 +189,7 @@ fn encode_raw(version: u32, meta: &[u8], tensors: &[(String, &[f32])]) -> Vec<u8
         hasher.update_u64(payload.len() as u64);
         hasher.update(&digest.0.to_le_bytes());
         offsets.push(offset);
-        offset = place(offset + payload.len());
+        offset = align_up(offset + payload.len());
     }
     out.extend_from_slice(&hasher.finish().0.to_le_bytes());
     for ((_, payload), &off) in sections.iter().zip(&offsets) {
@@ -243,27 +199,10 @@ fn encode_raw(version: u32, meta: &[u8], tensors: &[(String, &[f32])]) -> Vec<u8
     out
 }
 
-/// Encodes a trained system as a CATI1 container at the current
-/// version ([`CATI1_VERSION`] = 2, the mmap-friendly aligned layout).
+/// Encodes a trained system as a CATI1 container ([`CATI1_VERSION`]
+/// = 2, the mmap-friendly aligned layout).
 pub fn encode_cati1(cati: &Cati) -> Vec<u8> {
-    encode_raw(CATI1_VERSION, &meta_blob(cati), &weight_tensors(cati))
-}
-
-/// Encodes a trained system as a *v1* CATI1 container — the packed
-/// legacy layout, byte-identical to what pre-v2 builds wrote. Kept
-/// for `cati convert --format cati1-v1` (downgrade for older readers)
-/// and for the migration round-trip tests.
-pub fn encode_cati1_v1(cati: &Cati) -> Vec<u8> {
-    encode_raw(1, &meta_blob(cati), &weight_tensors(cati))
-}
-
-/// Encodes an arbitrary `(meta JSON, named tensors)` pair as a CATI1
-/// v2 container. The epoch checkpoints reuse the model container
-/// framing — checksummed section table, aligned tensor payloads,
-/// whole-file integrity — for model weights *and* the optimizer
-/// moments riding alongside them.
-pub(crate) fn encode_meta_tensors(meta: &[u8], tensors: &[(String, &[f32])]) -> Vec<u8> {
-    encode_raw(CATI1_VERSION, meta, tensors)
+    encode_meta_tensors(&meta_blob(cati), &weight_tensors(cati))
 }
 
 /// Decodes a container written by [`encode_meta_tensors`] back into
@@ -272,10 +211,7 @@ pub(crate) fn encode_meta_tensors(meta: &[u8], tensors: &[(String, &[f32])]) -> 
 pub(crate) fn decode_meta_tensors(
     bytes: &[u8],
 ) -> Result<(Vec<u8>, HashMap<String, ParamBuf>), String> {
-    let (version, sections) = read_sections(bytes)?;
-    if version < 2 {
-        return Err(format!("checkpoint container is v{version}, expected v2"));
-    }
+    let sections = read_sections(bytes)?;
     let find = |name: &str| -> Result<&Section<'_>, String> {
         sections
             .iter()
@@ -284,11 +220,11 @@ pub(crate) fn decode_meta_tensors(
     };
     let meta = find("meta")?.payload.to_vec();
     let tsec = find("tensors")?;
-    let tensors = read_tensors_v2(tsec.payload, tsec.offset, None)?;
+    let tensors = read_tensors(tsec.payload, tsec.offset, None)?;
     Ok((meta, tensors))
 }
 
-/// Test/CI hook: encodes arbitrary named tensors as a v2 container
+/// Test hook: encodes arbitrary named tensors as a container
 /// (with an empty `meta` payload), so the alignment invariant can be
 /// property-tested over shapes without training a model.
 #[doc(hidden)]
@@ -297,7 +233,7 @@ pub fn encode_v2_raw(tensors: &[(String, Vec<f32>)]) -> Vec<u8> {
         .iter()
         .map(|(n, d)| (n.clone(), d.as_slice()))
         .collect();
-    encode_raw(CATI1_VERSION, b"{}", &views)
+    encode_meta_tensors(b"{}", &views)
 }
 
 // ---------------------------------------------------------------
@@ -357,26 +293,25 @@ impl<'a> Cursor<'a> {
 }
 
 /// A verified section: name, absolute file offset of the payload, and
-/// the payload itself (the offset is what lets the v2 tensor reader
-/// hand out windows into the *file* mapping).
+/// the payload itself (the offset is what lets the tensor reader hand
+/// out windows into the *file* mapping).
 struct Section<'a> {
     name: String,
     offset: usize,
     payload: &'a [u8],
 }
 
-/// Splits the container into verified sections: the table checksum,
-/// every section's bounds, and every section's payload checksum must
-/// all hold. Returns the container version alongside (any version in
-/// [`CATI1_MIN_VERSION`]..=[`CATI1_VERSION`] is accepted).
-fn read_sections(bytes: &[u8]) -> Result<(u32, Vec<Section<'_>>), String> {
+/// Splits the container into verified sections: the version, the
+/// table checksum, every section's bounds, and every section's
+/// payload checksum must all hold.
+fn read_sections(bytes: &[u8]) -> Result<Vec<Section<'_>>, String> {
     let mut cur = Cursor { bytes, pos: 0 };
     cur.take(CATI1_MAGIC.len(), "magic")?;
     let version = cur.u32("container version")?;
-    if !(CATI1_MIN_VERSION..=CATI1_VERSION).contains(&version) {
+    if version != CATI1_VERSION {
         return Err(format!(
             "unsupported CATI1 container version {version} \
-             (this build reads {CATI1_MIN_VERSION}..={CATI1_VERSION})"
+             (this build reads only version {CATI1_VERSION})"
         ));
     }
     let count = cur.u32("section count")?;
@@ -423,7 +358,7 @@ fn read_sections(bytes: &[u8]) -> Result<(u32, Vec<Section<'_>>), String> {
             payload,
         });
     }
-    Ok((version, sections))
+    Ok(sections)
 }
 
 /// Copies `elems` floats out of `payload` at byte `off` (the non-mmap
@@ -445,38 +380,12 @@ fn copy_f32s(payload: &[u8], off: usize, elems: usize, name: &str) -> Result<Vec
         .collect())
 }
 
-/// Parses a v1 `tensors` payload (headers interleaved with data) into
-/// name → owned buffer. v1 data lands at arbitrary offsets, so this
-/// path always copies.
-fn read_tensors_v1(payload: &[u8]) -> Result<HashMap<String, ParamBuf>, String> {
-    let mut cur = Cursor {
-        bytes: payload,
-        pos: 0,
-    };
-    let count = cur.u32("tensor count")?;
-    let mut tensors = HashMap::with_capacity(count as usize);
-    for _ in 0..count {
-        let name = cur.name("tensor")?;
-        let floats = cur.u64(&format!("tensor {name} length"))? as usize;
-        let n = floats
-            .checked_mul(4)
-            .ok_or_else(|| format!("tensor {name} length {floats} overflows"))?;
-        let data = cur.take(n, &format!("tensor {name} data"))?;
-        let values: Vec<f32> = data
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
-        tensors.insert(name, ParamBuf::from(values));
-    }
-    Ok(tensors)
-}
-
-/// Parses a v2 `tensors` payload (index + aligned data region) into
+/// Parses a `tensors` payload (index + aligned data region) into
 /// name → buffer. With a real mapping each buffer is a zero-copy
 /// window into the file (`section_off + rel_off` is 64-byte aligned
 /// by construction); without one — heap-read fallback, or decoding
 /// from a byte slice — the data is copied.
-fn read_tensors_v2(
+fn read_tensors(
     payload: &[u8],
     section_off: usize,
     map: Option<&Arc<MappedFile>>,
@@ -514,11 +423,11 @@ fn take_tensor(tensors: &mut HashMap<String, ParamBuf>, name: &str) -> Result<Pa
         .ok_or_else(|| format!("missing tensor {name}"))
 }
 
-/// Decodes a CATI1 container (any supported version). When `map` is a
-/// real file mapping of the same bytes, v2 weight tensors become
-/// zero-copy windows into it; otherwise all weights are copied out.
+/// Decodes a CATI1 container. When `map` is a real file mapping of
+/// the same bytes, weight tensors become zero-copy windows into it;
+/// otherwise all weights are copied out.
 fn decode_with(bytes: &[u8], map: Option<&Arc<MappedFile>>) -> Result<Cati, String> {
-    let (version, sections) = read_sections(bytes)?;
+    let sections = read_sections(bytes)?;
     let section = |name: &str| -> Result<&Section<'_>, String> {
         sections
             .iter()
@@ -537,11 +446,7 @@ fn decode_with(bytes: &[u8], map: Option<&Arc<MappedFile>>) -> Result<Cati, Stri
         serde::field(meta, "stages", "CATI1 meta").map_err(|e| e.to_string())?;
 
     let tsec = section("tensors")?;
-    let mut tensors = if version == 1 {
-        read_tensors_v1(tsec.payload)?
-    } else {
-        read_tensors_v2(tsec.payload, tsec.offset, map)?
-    };
+    let mut tensors = read_tensors(tsec.payload, tsec.offset, map)?;
     let input = take_tensor(&mut tensors, "w2v.input")?;
     let output = take_tensor(&mut tensors, "w2v.output")?;
     let w2v = Word2Vec::from_parts(vocab, w2v_cfg, input, output)?;
@@ -585,15 +490,12 @@ pub fn decode_cati1(bytes: &[u8]) -> Result<Cati, String> {
     decode_with(bytes, None)
 }
 
-/// Test/CI hook: the `(name, absolute file offset, element count)` of
-/// every tensor in a v2 container, for asserting the 64-byte
-/// alignment invariant without decoding a full model.
+/// Test hook: the `(name, absolute file offset, element count)` of
+/// every tensor in a container, for asserting the 64-byte alignment
+/// invariant without decoding a full model.
 #[doc(hidden)]
 pub fn v2_tensor_offsets(bytes: &[u8]) -> Result<Vec<(String, usize, usize)>, String> {
-    let (version, sections) = read_sections(bytes)?;
-    if version < 2 {
-        return Err(format!("v2 offsets requested of a v{version} container"));
-    }
+    let sections = read_sections(bytes)?;
     let tsec = sections
         .iter()
         .find(|s| s.name == "tensors")
@@ -646,11 +548,9 @@ pub(crate) fn save_cati1(cati: &Cati, path: &Path) -> std::io::Result<()> {
     save_bytes_atomic(&encode_cati1(cati), path)
 }
 
-/// Loads a model file in any supported format, sniffing the bytes:
-/// the CATI1 magic selects the binary container (v2 weights read
-/// zero-copy out of the mapping; v1 copies), a leading `{` (after
-/// whitespace) the legacy JSON blob. Anything else fails with a hex
-/// preview of the first bytes and a format hint.
+/// Loads a CATI1 model file, its weights read zero-copy out of the
+/// mapping. A file without the CATI1 magic fails with a hex preview
+/// of its first bytes and a format hint.
 pub(crate) fn load_model(path: &Path) -> std::io::Result<Cati> {
     let map = MappedFile::open(path).map_err(|e| {
         std::io::Error::new(e.kind(), format!("read model {}: {e}", path.display()))
@@ -668,12 +568,10 @@ pub(crate) fn load_model(path: &Path) -> std::io::Result<Cati> {
     };
     if is_cati1(bytes) {
         decode_with(bytes, Some(&map)).map_err(parse_err)
-    } else if bytes.iter().copied().find(|b| !b.is_ascii_whitespace()) == Some(b'{') {
-        serde_json::from_slice(bytes).map_err(|e| parse_err(e.to_string()))
     } else {
         let preview: Vec<String> = bytes.iter().take(8).map(|b| format!("{b:02x}")).collect();
         Err(parse_err(format!(
-            "unrecognized model format (first bytes: {}); expected CATI1 magic or JSON model",
+            "unrecognized model format (first bytes: {}); expected CATI1 magic",
             preview.join(" ")
         )))
     }
@@ -753,25 +651,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_containers_still_decode_and_roundtrip_byte_identically() {
-        let cati = tiny_cati();
-        let v1 = encode_cati1_v1(&cati);
-        assert_eq!(
-            u32::from_le_bytes([v1[8], v1[9], v1[10], v1[11]]),
-            1,
-            "legacy encoder must stamp version 1"
-        );
-        let back = decode_cati1(&v1).expect("v1 container must still load");
-        assert_eq!(back, cati, "v1 decode must be bit-exact");
-        // v1 -> decode -> v1 re-encode is the convert round-trip.
-        assert_eq!(encode_cati1_v1(&back), v1);
-        // And upgrading then downgrading lands on the same v1 bytes.
-        let v2 = encode_cati1(&cati);
-        let upgraded = decode_cati1(&v2).expect("v2 container must load");
-        assert_eq!(encode_cati1_v1(&upgraded), v1);
-    }
-
-    #[test]
     fn v2_tensor_offsets_are_cache_line_aligned() {
         let bytes = encode_cati1(&tiny_cati());
         let offsets = v2_tensor_offsets(&bytes).expect("offset table");
@@ -843,31 +722,5 @@ mod tests {
         assert_eq!(heap.mapped_param_count(), 0);
         assert_eq!(heap, loaded);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn quantized_model_stays_loadable_and_close_to_f32() {
-        let cati = tiny_cati();
-        let mut q = cati.clone();
-        q.quantize(cati_nn::QuantMode::F16);
-        assert_ne!(q, cati, "quantization must actually move weights");
-        // Quantized weights survive a container round-trip exactly.
-        let bytes = encode_cati1(&q);
-        assert_eq!(decode_cati1(&bytes).unwrap(), q);
-        // f16 snapping keeps every weight within 1 half-ULP of the
-        // original: 2^-11 relative for normals, 2^-25 absolute in the
-        // subnormal range.
-        let model = cati.embedder.model();
-        let qmodel = q.embedder.model();
-        for (a, b) in model
-            .input_matrix()
-            .iter()
-            .zip(qmodel.input_matrix().iter())
-        {
-            assert!(
-                (a - b).abs() <= a.abs() * (-11f32).exp2() + (-25f32).exp2(),
-                "{a} snapped to {b}"
-            );
-        }
     }
 }

@@ -11,7 +11,6 @@ use cati_obs::{Event, Level, Observer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Instant;
 
@@ -109,7 +108,7 @@ pub struct StreamOptions {
 }
 
 /// The six trained stage models.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiStage {
     models: Vec<(StageId, TextCnn)>,
 }
@@ -358,12 +357,6 @@ impl MultiStage {
     /// The `(stage, model)` pairs, in training order.
     pub fn models(&self) -> &[(StageId, TextCnn)] {
         &self.models
-    }
-
-    /// Mutable access to the `(stage, model)` pairs — the
-    /// quantization path ([`crate::pipeline::Cati::quantize`]).
-    pub fn models_mut(&mut self) -> &mut [(StageId, TextCnn)] {
-        &mut self.models
     }
 
     /// The model for one stage.

@@ -17,7 +17,7 @@ use cati_analysis::{
 use cati_asm::binary::Binary;
 use cati_dwarf::{StageId, TypeClass};
 use cati_embedding::{VucEmbedder, Word2Vec};
-use cati_nn::{argmax, QuantMode, Tensor};
+use cati_nn::{argmax, Tensor};
 use cati_obs::metrics::UNIT_BUCKETS;
 use cati_obs::{Event, Observer, SpanGuard};
 use cati_synbin::BuiltBinary;
@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 /// A trained CATI system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cati {
     /// Configuration used for training.
     pub config: Config,
@@ -505,59 +505,23 @@ impl Cati {
         crate::model_io::save_cati1(self, path.as_ref())
     }
 
-    /// Serializes the trained system in the legacy JSON format that
-    /// [`Cati::load`] still accepts — kept for migration tooling and
-    /// format-compatibility tests. Written atomically like
-    /// [`Cati::save`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O and serialization failures, each annotated with
-    /// the path (and payload size) involved.
-    pub fn save_json(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        let json = serde_json::to_vec(self).map_err(|e| {
-            std::io::Error::other(format!("serialize model for {}: {e}", path.display()))
-        })?;
-        crate::model_io::save_bytes_atomic(&json, path)
-    }
-
-    /// Loads a system saved by [`Cati::save`] — either a CATI1 binary
-    /// container or a legacy JSON model; the format is sniffed from
-    /// the first bytes.
+    /// Loads a system saved by [`Cati::save`] (a CATI1 v2 container).
     ///
     /// # Errors
     ///
     /// Propagates I/O and decoding failures. Parse failures are
     /// reported as [`std::io::ErrorKind::InvalidData`] and carry the
     /// path, the file size, and what failed (truncation bounds,
-    /// checksum mismatches, or the JSON parser's position); a file in
-    /// neither format gets a hex preview of its first bytes and a
-    /// "expected CATI1 magic or JSON model" hint.
+    /// checksum mismatches, an unsupported container version); a file
+    /// without the CATI1 magic gets a hex preview of its first bytes
+    /// and an "expected CATI1 v2 model" hint.
     pub fn load(path: impl AsRef<Path>) -> std::io::Result<Cati> {
         crate::model_io::load_model(path.as_ref())
     }
 
-    /// Quantizes every weight matrix in place — both Word2Vec
-    /// embedding matrices and all stage-CNN filter/projection weights
-    /// (biases excepted) — snapping them to the chosen grid and
-    /// dequantizing back to `f32` (see [`cati_nn::quant`]). The
-    /// opt-in quantized inference mode: still fully deterministic,
-    /// but *not* bit-identical to the f32 model; the accuracy cost is
-    /// measured by the bench parity harness and recorded in the run
-    /// manifest. Applied before any inference runs, so the embedder's
-    /// column cache never holds full-precision floats (it is cleared
-    /// here).
-    pub fn quantize(&mut self, mode: QuantMode) {
-        self.embedder.quantize(mode);
-        for (_, cnn) in self.stages.models_mut() {
-            cnn.quantize(mode);
-        }
-    }
-
     /// How many weight tensors currently read straight out of a
     /// memory-mapped CATI1 v2 container (zero for trained or
-    /// JSON/v1-loaded models) — diagnostics for the zero-copy load
+    /// heap-decoded models) — diagnostics for the zero-copy load
     /// tests.
     pub fn mapped_param_count(&self) -> usize {
         self.embedder.mapped_param_count()

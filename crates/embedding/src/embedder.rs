@@ -92,16 +92,6 @@ impl VucEmbedder {
         &self.model
     }
 
-    /// Quantizes the embedding matrices in place (see
-    /// [`Word2Vec::quantize`]) and drops every cached instruction
-    /// column — cached columns are derived from the pre-quantization
-    /// matrix and would otherwise leak full-precision floats into
-    /// quantized inference.
-    pub fn quantize(&mut self, mode: cati_nn::QuantMode) {
-        self.model.quantize(mode);
-        self.cache.write().expect("embed cache lock").clear();
-    }
-
     /// How many of the model's matrices still read straight out of a
     /// memory-mapped container (zero-copy load diagnostics).
     pub fn mapped_param_count(&self) -> usize {

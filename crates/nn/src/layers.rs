@@ -9,7 +9,6 @@ use crate::isa::{Isa, Kernel};
 use crate::param::ParamBuf;
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 fn xavier(fan_in: usize, fan_out: usize, rng: &mut StdRng) -> f32 {
     let bound = (6.0 / (fan_in + fan_out) as f32).sqrt();
@@ -19,7 +18,7 @@ fn xavier(fan_in: usize, fan_out: usize, rng: &mut StdRng) -> f32 {
 /// 1-D convolution over a `[channels][length]` input with kernel size
 /// `k`, stride 1 and symmetric zero padding of `k/2` (length
 /// preserving for odd `k`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Conv1d {
     /// Input channels.
     pub in_ch: usize,
@@ -543,7 +542,7 @@ fn conv_accum_row(w: &[f32], xi: &[f32], yo: &mut [f32], pad: usize, lo: usize, 
 pub const LANES: usize = 8;
 
 /// Fully connected layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dense {
     /// Input features.
     pub in_dim: usize,

@@ -50,7 +50,6 @@ pub mod mmap;
 pub mod model;
 pub mod optim;
 pub mod param;
-pub mod quant;
 pub mod tensor;
 
 pub use mmap::{MapSlice, MappedFile};
@@ -59,5 +58,4 @@ pub use model::{
 };
 pub use optim::{Adam, GradBuffers, Sgd};
 pub use param::ParamBuf;
-pub use quant::QuantMode;
 pub use tensor::{argmax, Rows, Tensor};

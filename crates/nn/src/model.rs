@@ -137,7 +137,7 @@ impl SampleSource for Vec<(Vec<f32>, usize)> {
 }
 
 /// A 2-layer convolutional text classifier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TextCnn {
     /// Configuration.
     pub cfg: TextCnnConfig,
@@ -448,22 +448,6 @@ impl TextCnn {
             self.fc2.w.to_mut(),
             self.fc2.b.to_mut(),
         ]
-    }
-
-    /// Quantizes the *weight* matrices in place with `mode` (biases
-    /// stay f32 — they are tiny and additive, so quantizing them buys
-    /// nothing and costs accuracy). Runtime arithmetic stays f32: the
-    /// weights are quantized then immediately dequantized, so this
-    /// changes the stored values once and nothing else about
-    /// inference.
-    pub fn quantize(&mut self, mode: crate::quant::QuantMode) {
-        use crate::quant::quantize_dequant_rows;
-        let row1 = self.conv1.in_ch * self.conv1.k;
-        quantize_dequant_rows(self.conv1.w.to_mut(), row1, mode);
-        let row2 = self.conv2.in_ch * self.conv2.k;
-        quantize_dequant_rows(self.conv2.w.to_mut(), row2, mode);
-        quantize_dequant_rows(self.fc1.w.to_mut(), self.fc1.in_dim, mode);
-        quantize_dequant_rows(self.fc2.w.to_mut(), self.fc2.in_dim, mode);
     }
 
     /// Forward pass into `ws`; returns the logits slice.
@@ -848,8 +832,9 @@ mod tests {
     fn serialization_roundtrip_preserves_predictions() {
         let cfg = TextCnnConfig::tiny(4, 3);
         let model = TextCnn::new(cfg, 9);
-        let json = serde_json::to_string(&model).unwrap();
-        let restored: TextCnn = serde_json::from_str(&json).unwrap();
+        let bufs = model.params().map(|t| ParamBuf::from(t.to_vec())).to_vec();
+        let restored = TextCnn::from_param_bufs(model.cfg, bufs).unwrap();
+        assert_eq!(restored, model);
         let x = vec![0.25; cfg.embed_dim * cfg.seq_len];
         assert_eq!(model.predict(&x), restored.predict(&x));
     }

@@ -10,8 +10,8 @@
 //! works and never writes through the map.
 //!
 //! Serialization is format-transparent: a `ParamBuf` serializes as a
-//! plain float array and deserializes as owned, so the legacy JSON
-//! model format is byte-identical to what `Vec<f32>` produced.
+//! plain float array and deserializes as owned, so the embedder
+//! checkpoint's JSON is byte-identical to what `Vec<f32>` produced.
 
 use crate::mmap::MapSlice;
 use serde::{DeError, Deserialize, Serialize, Value};

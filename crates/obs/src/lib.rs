@@ -31,7 +31,6 @@
 
 #[cfg(feature = "alloc-profile")]
 pub mod alloc;
-pub mod bench;
 pub mod chrome_trace;
 pub mod manifest;
 pub mod metrics;

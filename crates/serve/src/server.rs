@@ -115,8 +115,8 @@ impl Default for ServeConfig {
 }
 
 /// The version string of a trained system: the digest of its
-/// deterministic CATI1 encoding, so retrained or converted models get
-/// distinct versions and re-saves of the same model agree.
+/// deterministic CATI1 encoding, so retrained models get distinct
+/// versions and re-saves of the same model agree.
 pub fn model_version(cati: &Cati) -> String {
     digest_bytes(&encode_cati1(cati)).to_string()
 }
@@ -398,7 +398,7 @@ impl Server {
         })
     }
 
-    /// [`Server::start`] from a model file (CATI1 or legacy JSON).
+    /// [`Server::start`] from a CATI1 model file.
     ///
     /// # Errors
     ///

@@ -24,23 +24,25 @@ fn train_with_threads(corpus: &Corpus, threads: usize) -> (Cati, Recorder) {
     (cati, recorder)
 }
 
+/// The CATI1 encoding of everything training produced: raw f32 bits
+/// of every weight (so -0.0 and +0.0 differ), with the `threads`
+/// knob — the one config field the compared runs set differently —
+/// zeroed.
+fn trained_bytes(cati: &Cati) -> Vec<u8> {
+    let mut cati = cati.clone();
+    cati.config.threads = 0;
+    cati::encode_cati1(&cati)
+}
+
 #[test]
 fn thread_count_does_not_change_the_model() {
     let corpus = build_corpus(&CorpusConfig::small(13));
     let (one, obs_one) = train_with_threads(&corpus, 1);
     let (four, obs_four) = train_with_threads(&corpus, 4);
-    // The configs differ only in the `threads` knob; everything
-    // training produced must be bit-identical, so the serialized
-    // forms must match byte for byte.
-    assert_eq!(
-        serde_json::to_string(&one.stages).unwrap(),
-        serde_json::to_string(&four.stages).unwrap(),
-        "stage models diverged across thread counts"
-    );
-    assert_eq!(
-        serde_json::to_string(&one.embedder).unwrap(),
-        serde_json::to_string(&four.embedder).unwrap(),
-        "embedders diverged across thread counts"
+    // Everything training produced must be bit-identical.
+    assert!(
+        trained_bytes(&one) == trained_bytes(&four),
+        "models diverged across thread counts"
     );
     // Inference over a held-out stripped binary must agree exactly.
     let stripped = corpus.test[0].binary.strip();
@@ -109,18 +111,9 @@ fn thread_count_does_not_change_the_streamed_model() {
     };
     let one = streamed(1);
     let four = streamed(4);
-    // Whole-system equality would also compare the config, whose
-    // `threads` knob intentionally differs; everything training
-    // *produced* must match bit for bit.
-    assert_eq!(
-        serde_json::to_string(&one.stages).unwrap(),
-        serde_json::to_string(&four.stages).unwrap(),
-        "streamed stage models diverged across thread counts"
-    );
-    assert_eq!(
-        serde_json::to_string(&one.embedder).unwrap(),
-        serde_json::to_string(&four.embedder).unwrap(),
-        "streamed embedders diverged across thread counts"
+    assert!(
+        trained_bytes(&one) == trained_bytes(&four),
+        "streamed models diverged across thread counts"
     );
     let stripped = corpus.test[0].binary.strip();
     assert_eq!(

@@ -1,13 +1,14 @@
 //! Model container format tests: the committed golden CATI1 fixture
-//! must keep loading byte-for-byte, and a legacy JSON model must
-//! migrate to CATI1 without changing a single prediction.
+//! must keep loading byte-for-byte and predicting what it predicted
+//! when it was recorded, and anything that is not a CATI1 v2
+//! container must be refused with a typed error.
 //!
 //! The fixture pins the on-disk format: if an encoder change produces
 //! different bytes for the same model, the golden test fails and the
 //! change needs a format version bump (plus a regenerated fixture via
 //! `cargo test -p cati --test model_format -- --ignored`).
 
-use cati::{encode_cati1, encode_cati1_v1, is_cati1, Cati, Config};
+use cati::{encode_cati1, is_cati1, Cati, Config, CATI1_MAGIC};
 use cati_synbin::{build_corpus, Corpus, CorpusConfig};
 use std::path::PathBuf;
 
@@ -41,137 +42,91 @@ fn fixture_predictions(cati: &Cati, corpus: &Corpus) -> serde_json::Value {
     serde_json::to_value(&vars).expect("predictions to JSON")
 }
 
+fn recorded_predictions() -> serde_json::Value {
+    let path = fixture_dir().join("golden_predictions.json");
+    serde_json::from_slice(&std::fs::read(path).expect("read golden_predictions.json"))
+        .expect("parse golden_predictions.json")
+}
+
 #[test]
 fn golden_cati1_fixture_still_loads_and_predicts_identically() {
-    let dir = fixture_dir();
-    let model_path = dir.join("golden.cati");
-    let bytes = std::fs::read(&model_path).expect("read golden.cati (regenerate with --ignored)");
+    let bytes = std::fs::read(fixture_dir().join("golden.cati"))
+        .expect("read golden.cati (regenerate with --ignored)");
     assert!(is_cati1(&bytes), "golden fixture lost its CATI1 magic");
+    let cati = cati::decode_cati1(&bytes).expect("decode golden fixture");
 
-    let cati = Cati::load(&model_path).expect("load golden fixture");
-
-    // The committed fixture is a v1 container — it pins the legacy
-    // packed layout. Re-encoding the loaded system *as v1* must
-    // reproduce the committed bytes exactly: the legacy encoder (and
-    // the weights inside it) have not drifted.
+    // Re-encoding the decoded system must reproduce the committed
+    // bytes exactly. The encoder writes raw f32 bits, so this is a
+    // bitwise check of every weight (-0.0 included), not `PartialEq`.
     assert_eq!(
-        encode_cati1_v1(&cati),
+        encode_cati1(&cati),
         bytes,
-        "re-encoding the golden model as v1 produced different bytes — \
-         legacy format drift without a version bump?"
+        "re-encoding the golden model produced different bytes — \
+         format drift without a version bump?"
     );
-
-    // Upgrading it to the current v2 container must round-trip to the
-    // identical system (the v1 -> v2 migration path).
-    let v2 = encode_cati1(&cati);
-    assert!(is_cati1(&v2));
-    assert_ne!(v2, bytes, "v2 should differ from the packed v1 layout");
-    assert_eq!(
-        cati::decode_cati1(&v2).expect("v2 re-encode must decode"),
-        cati,
-        "v1 -> v2 migration changed the model"
-    );
-
-    // And the model must still say exactly what it said when the
-    // fixture was recorded.
-    let recorded: serde_json::Value = serde_json::from_slice(
-        &std::fs::read(dir.join("golden_predictions.json")).expect("read golden_predictions.json"),
-    )
-    .expect("parse golden_predictions.json");
     assert_eq!(
         fixture_predictions(&cati, &fixture_corpus()),
-        recorded,
+        recorded_predictions(),
         "golden model's predictions drifted from the recorded fixture"
     );
 }
 
+/// The fixture was recorded as a v1 container and migrated to v2
+/// bit for bit; loaded through the mmap path it must still predict
+/// exactly what it predicted when it was recorded.
 #[test]
 fn v1_golden_migrated_to_v2_loads_zero_copy_with_identical_predictions() {
-    let dir = fixture_dir();
-    let cati = Cati::load(dir.join("golden.cati")).expect("load golden fixture");
-    let tmp = std::env::temp_dir().join(format!("cati_v2_migrate_{}", std::process::id()));
-    std::fs::create_dir_all(&tmp).unwrap();
-
-    // save() writes the current (v2) container; loading it back goes
-    // through the mmap path.
-    let v2_path = tmp.join("golden_v2.cati");
-    cati.save(&v2_path).unwrap();
-    let mapped = Cati::load(&v2_path).expect("v2 model must load");
-    assert_eq!(mapped, cati, "v1 -> v2 migration changed the model");
+    let cati = Cati::load(fixture_dir().join("golden.cati")).expect("load golden fixture");
     #[cfg(unix)]
     assert!(
-        mapped.mapped_param_count() > 0,
-        "a v2 load on unix should keep weights memory-mapped"
+        cati.mapped_param_count() > 0,
+        "a load on unix should keep weights memory-mapped"
     );
-
-    // The mmap-backed model predicts exactly what the recorded
-    // fixture says — zero-copy weights are bit-identical weights.
-    let recorded: serde_json::Value = serde_json::from_slice(
-        &std::fs::read(dir.join("golden_predictions.json")).expect("read golden_predictions.json"),
-    )
-    .expect("parse golden_predictions.json");
     assert_eq!(
-        fixture_predictions(&mapped, &fixture_corpus()),
-        recorded,
+        fixture_predictions(&cati, &fixture_corpus()),
+        recorded_predictions(),
         "mmap-loaded model's predictions drifted from the recorded fixture"
     );
-    std::fs::remove_dir_all(&tmp).ok();
-}
-
-#[test]
-fn json_model_migrates_to_cati1_without_changing_inference() {
-    let corpus = fixture_corpus();
-    let cati = fixture_model(&corpus);
-    let dir = std::env::temp_dir().join(format!("cati_migrate_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-
-    // A legacy JSON model still loads through the same entry point
-    // (format sniffing), bit-identical to the in-memory system.
-    let json_path = dir.join("legacy.json");
-    cati.save_json(&json_path).unwrap();
-    let legacy = Cati::load(&json_path).expect("legacy JSON model must still load");
-    assert_eq!(legacy, cati, "JSON roundtrip changed the model");
-
-    // Migrating it: save writes CATI1, loading that gives the same
-    // system back, and re-saving is byte-identical (the encoder is
-    // deterministic, so migrated models diff clean).
-    let cati1_path = dir.join("migrated.cati");
-    legacy.save(&cati1_path).unwrap();
-    let first = std::fs::read(&cati1_path).unwrap();
-    assert!(is_cati1(&first), "save did not emit a CATI1 container");
-    let migrated = Cati::load(&cati1_path).expect("migrated model must load");
-    assert_eq!(migrated, cati, "JSON -> CATI1 migration changed the model");
-    let resaved_path = dir.join("resaved.cati");
-    migrated.save(&resaved_path).unwrap();
-    assert_eq!(
-        std::fs::read(&resaved_path).unwrap(),
-        first,
-        "re-saving a migrated model is not byte-identical"
-    );
-
-    // The migrated model predicts exactly what the original did.
-    let stripped = corpus.test[0].binary.strip();
-    assert_eq!(
-        migrated.infer(&stripped).unwrap(),
-        cati.infer(&stripped).unwrap(),
-        "migration changed inference output"
-    );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn unrecognized_model_format_reports_a_hex_preview() {
     let dir = std::env::temp_dir().join(format!("cati_badfmt_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("not_a_model.bin");
-    std::fs::write(&path, b"\x7fELF\x02\x01\x01\x00junk").unwrap();
-    let err = Cati::load(&path).expect_err("garbage must not load");
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    let msg = err.to_string();
-    assert!(
-        msg.contains("7f") && msg.contains("expected CATI1 magic or JSON model"),
-        "unrecognized-format error lacks hex preview or hint: {msg}"
-    );
+    let golden = std::fs::read(fixture_dir().join("golden.cati")).expect("read golden.cati");
+    let with_version = |v: u32| {
+        let mut b = golden.clone();
+        b[CATI1_MAGIC.len()..CATI1_MAGIC.len() + 4].copy_from_slice(&v.to_le_bytes());
+        b
+    };
+    // (file contents, what the error must name)
+    let cases: [(&str, Vec<u8>, &[&str]); 4] = [
+        (
+            "elf.bin",
+            b"\x7fELF\x02\x01\x01\x00junk".to_vec(),
+            &["7f 45 4c 46", "expected CATI1 magic"],
+        ),
+        ("v1.cati", with_version(1), &["container version 1"]),
+        ("v3.cati", with_version(3), &["container version 3"]),
+        (
+            "legacy.json",
+            br#"{"config": {}, "embedder": {}, "stages": {}}"#.to_vec(),
+            &["7b 22 63 6f", "expected CATI1 magic"],
+        ),
+    ];
+    for (name, bytes, needles) in cases {
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        let err = Cati::load(&path).expect_err("non-v2 file must not load");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name}: {err}");
+        let msg = err.to_string();
+        for needle in needles {
+            assert!(
+                msg.contains(needle),
+                "{name}: error lacks `{needle}`: {msg}"
+            );
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -188,9 +143,7 @@ fn regenerate_golden_fixture() {
     let cati = fixture_model(&corpus);
     let dir = fixture_dir();
     std::fs::create_dir_all(&dir).unwrap();
-    // The fixture deliberately stays a v1 container: it pins the
-    // legacy packed layout and keeps the v1 decode path exercised.
-    std::fs::write(dir.join("golden.cati"), encode_cati1_v1(&cati)).unwrap();
+    cati.save(dir.join("golden.cati")).unwrap();
     let preds = fixture_predictions(&cati, &corpus);
     std::fs::write(
         dir.join("golden_predictions.json"),

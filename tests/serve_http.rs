@@ -71,14 +71,11 @@ fn ephemeral(mut cfg: ServeConfig) -> ServeConfig {
 /// The tentpole contract: with 8 clients hammering the daemon
 /// concurrently, every response body is byte-identical to the
 /// one-shot CLI output for its binary, and every response names the
-/// serving model version.
+/// serving model version. Checked without a cache, and with a
+/// server-side artifact cache: once cold, then warm.
 #[test]
 fn served_inference_is_bit_identical_under_concurrent_clients() {
     let (cati, corpus) = trained();
-    let handle = start(ephemeral(ServeConfig::default()));
-    let addr = handle.addr();
-    let version = handle.model_version();
-
     let cases: Vec<(Binary, String)> = corpus
         .test
         .iter()
@@ -91,8 +88,38 @@ fn served_inference_is_bit_identical_under_concurrent_clients() {
         })
         .collect();
 
+    let plain = start(ephemeral(ServeConfig::default()));
+    concurrent_parity_round(&plain, &cases);
+    assert!(snapshot(&plain).counter("serve.requests").unwrap_or(0) >= 8);
+
+    let cache_dir = temp_dir("parity_cache");
+    let cached = start(ephemeral(ServeConfig {
+        cache_dir: Some(cache_dir.clone()),
+        ..ServeConfig::default()
+    }));
+    concurrent_parity_round(&cached, &cases[..4]);
+    let cold = snapshot(&cached);
+    assert!(
+        cold.counter("cache.miss").unwrap_or(0) > 0,
+        "cold round must fill the cache"
+    );
+    concurrent_parity_round(&cached, &cases[..4]);
+    let warm = snapshot(&cached);
+    assert!(
+        warm.counter("cache.hit").unwrap_or(0) > cold.counter("cache.hit").unwrap_or(0),
+        "warm round must read the cache"
+    );
+    std::fs::remove_dir_all(&cache_dir).ok();
+}
+
+/// Sends every case from its own client thread at once and checks
+/// each served body against its one-shot output.
+fn concurrent_parity_round(handle: &cati_serve::ServerHandle, cases: &[(Binary, String)]) {
+    let addr = handle.addr();
+    let version = handle.model_version();
     let threads: Vec<_> = cases
-        .into_iter()
+        .iter()
+        .cloned()
         .map(|(binary, expected)| {
             let version = version.clone();
             std::thread::spawn(move || {
@@ -114,7 +141,6 @@ fn served_inference_is_bit_identical_under_concurrent_clients() {
     for t in threads {
         t.join().expect("client thread");
     }
-    assert!(snapshot(&handle).counter("serve.requests").unwrap_or(0) >= 8);
 }
 
 #[test]
