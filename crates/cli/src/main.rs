@@ -72,6 +72,17 @@ fn load_binary(path: &str) -> Result<Binary, String> {
     serde_json::from_slice(&bytes).map_err(|e| format!("parse {path}: {e}"))
 }
 
+/// Fails exactly where extraction would — undecodable text or an
+/// unparsable debug section — so `train` refuses a corrupt corpus
+/// file by name instead of panicking once training has started.
+fn check_extractable(binary: &Binary) -> Result<(), String> {
+    binary.disassemble().map_err(|e| e.to_string())?;
+    if let Some(debug) = &binary.debug {
+        cati_dwarf::DebugInfo::parse(debug).map_err(|e| e.to_string())?;
+    }
+    Ok(())
+}
+
 fn save_json<T: serde::Serialize>(value: &T, path: &Path) -> Result<(), String> {
     let json = serde_json::to_vec(value).map_err(|e| e.to_string())?;
     std::fs::write(path, json).map_err(|e| format!("write {}: {e}", path.display()))
@@ -333,7 +344,10 @@ fn cmd_train(args: &Args) -> Result<(), String> {
             continue;
         }
         let file = entry["file"].as_str().ok_or("bad manifest")?;
-        let binary = load_binary(corpus_dir.join(file).to_str().unwrap())?;
+        let path = corpus_dir.join(file);
+        let binary = load_binary(path.to_str().unwrap())?;
+        check_extractable(&binary)
+            .map_err(|e| format!("corrupt corpus file {}: {e}", path.display()))?;
         let opt = entry["opt"].as_u64().unwrap_or(0) as u8;
         let compiler = if entry["compiler"] == "clang" {
             Compiler::Clang

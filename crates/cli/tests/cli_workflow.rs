@@ -198,5 +198,40 @@ fn full_cli_workflow() {
     assert!(!ok);
     assert!(stderr.contains("unknown command"));
 
+    // 11. A corrupt training binary — truncated debug section, then
+    //     undecodable text — is refused by name with exit code 1, not
+    //     a panic mid-extraction.
+    let train_file = entries
+        .iter()
+        .find(|e| e["split"] == "train")
+        .and_then(|e| e["file"].as_str())
+        .expect("a training binary");
+    let train_path = dir.join("corpus").join(train_file);
+    let pristine: cati_asm::binary::Binary =
+        serde_json::from_slice(&std::fs::read(&train_path).unwrap()).unwrap();
+    let mut truncated = pristine.clone();
+    truncated
+        .debug
+        .as_mut()
+        .expect("debug section")
+        .truncate(100);
+    let mut undecodable = pristine;
+    undecodable.text.extend_from_slice(&[0xFF, 0xFF, 0xFF]);
+    for (corrupt, what) in [(truncated, "debug section"), (undecodable, "offset")] {
+        std::fs::write(&train_path, serde_json::to_string(&corrupt).unwrap()).unwrap();
+        let out = Command::new(cati_bin())
+            .args(["train", "--corpus", "corpus", "--out", "corrupt.cati"])
+            .current_dir(&dir)
+            .output()
+            .expect("spawn cati");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(
+            stderr.contains(train_file) && stderr.contains(what),
+            "error names neither the file nor the fault: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -2,10 +2,10 @@
 //! per-stage training sets.
 
 use cati_analysis::{extract_mode_observed, ContextMode, Extraction, FeatureView};
-use cati_asm::generalize::generalize;
+use cati_asm::generalize::{generalize, GenInsn};
 use cati_dwarf::{StageId, TypeClass};
 use cati_embedding::VucEmbedder;
-use cati_nn::Tensor;
+use cati_nn::{SampleSource, Tensor};
 use cati_obs::{Event, Observer};
 use cati_synbin::BuiltBinary;
 use rand::rngs::StdRng;
@@ -163,191 +163,147 @@ pub fn embedding_sentences(
     sentences
 }
 
-/// One embedded, stage-labeled training sample.
-pub type Sample = (Vec<f32>, usize);
-
-/// One stage's planned sample order over a labeled pool: a base order
-/// (identity when uncapped — no intermediate index buffer; an owned
-/// shuffled prefix when capped) followed by oversampled duplicates.
-/// Both the in-memory and the on-disk (shard) training paths build
-/// their sample sequence from this one planner, which is what makes
-/// them bit-identical: the plan is a pure function of the pool's
-/// labels and the RNG, never of where the floats live.
-pub(crate) struct StagePlan {
-    /// `None` = pool identity order; `Some` = capped-and-shuffled.
-    base: Option<Vec<u32>>,
-    /// Length of the base order.
-    base_len: usize,
-    /// Oversampled duplicates appended after the base, in the order
-    /// the oversampling loop drew them.
-    extras: Vec<u32>,
+/// The labeled VUCs of `dataset` in `(entry, vuc)` order — the one
+/// definition of *pool order* every training path shares: each VUC
+/// whose variable has a ground-truth class, as its generalized window
+/// and that class's [`TypeClass::index`] byte. The shard writer
+/// streams these rows to disk; in-memory training embeds the planned
+/// ones straight from the windows.
+pub(crate) fn labeled_rows(dataset: &Dataset) -> (Vec<&[GenInsn]>, Vec<u8>) {
+    dataset
+        .entries
+        .iter()
+        .flat_map(|(_, ex)| {
+            ex.vucs.iter().filter_map(|vuc| {
+                let class = vuc.class(&ex.vars)?;
+                Some((vuc.insns.as_slice(), class.index() as u8))
+            })
+        })
+        .unzip()
 }
 
-impl StagePlan {
-    /// Total planned samples.
-    pub(crate) fn len(&self) -> usize {
-        self.base_len + self.extras.len()
-    }
-
-    /// Pool index of the sample at plan position `i`.
-    pub(crate) fn get(&self, i: usize) -> u32 {
-        if i < self.base_len {
-            match &self.base {
-                Some(order) => order[i],
-                None => i as u32,
-            }
-        } else {
-            self.extras[i - self.base_len]
-        }
-    }
-
-    /// Pool indices in plan order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.len()).map(|i| self.get(i))
-    }
-
-    /// The capped-and-shuffled base order, if a cap applied.
-    fn base_order(&self) -> Option<&[u32]> {
-        self.base.as_deref()
-    }
-
-    /// The oversampled duplicate indices.
-    fn extra_order(&self) -> &[u32] {
-        &self.extras
-    }
-}
-
-/// Plans one stage's sample order from the pool's stage labels:
-/// optional cap (shuffle + truncate), then rare-class oversampling to
-/// a floor fraction of the largest class. RNG consumption depends
-/// only on pool length and label multiplicities, so any two pools
-/// with equal label sequences produce equal plans. When no cap
-/// applies, the base order is the identity — no index buffer is
-/// allocated or re-shuffled.
+/// Plans one stage's training samples over a labeled-row pool given
+/// as class bytes (one [`TypeClass::index`] per row, pool order): the
+/// rows whose class carries a label at `stage`, optionally capped
+/// (shuffle + truncate), then rare-class-oversampled to a floor
+/// fraction of the largest class. Returns `(row, stage label)` pairs
+/// in training order; duplicates are the oversampled rows.
+///
+/// RNG consumption depends only on the stage pool's length and label
+/// multiplicities, never on where the rows' floats live — which is
+/// what makes in-memory and shard-backed training bit-identical.
+/// Oversampling never adds more than `max_count` duplicates per rare
+/// class (the safety bound), and everything it adds is counted into
+/// the `train.oversampled` counter on `obs` (with a warning when the
+/// bound truncates a class short of its floor).
 pub(crate) fn plan_stage_samples(
-    pool_labels: &[usize],
+    classes: &[u8],
     stage: StageId,
     max_samples: usize,
     oversample_floor: f64,
     rng: &mut StdRng,
     obs: &dyn Observer,
-) -> StagePlan {
-    let mut base: Option<Vec<u32>> = None;
-    if max_samples > 0 && pool_labels.len() > max_samples {
-        let mut order: Vec<u32> = (0..pool_labels.len() as u32).collect();
-        order.shuffle(rng);
-        order.truncate(max_samples);
-        base = Some(order);
+) -> Vec<(u32, u16)> {
+    let mut pool: Vec<(u32, u16)> = classes
+        .iter()
+        .enumerate()
+        .filter_map(|(row, &cls)| {
+            let label = stage.label_of(TypeClass::ALL[cls as usize])?;
+            Some((row as u32, label as u16))
+        })
+        .collect();
+    if max_samples > 0 && pool.len() > max_samples {
+        pool.shuffle(rng);
+        pool.truncate(max_samples);
     }
-    let base_len = base.as_ref().map_or(pool_labels.len(), Vec::len);
-    let label_at = |i: usize| -> usize {
-        match &base {
-            Some(order) => pool_labels[order[i] as usize],
-            None => pool_labels[i],
+    if oversample_floor <= 0.0 {
+        return pool;
+    }
+    let mut counts = vec![0usize; stage.num_classes()];
+    for &(_, label) in &pool {
+        counts[label as usize] += 1;
+    }
+    let max_count = counts.iter().copied().max().unwrap_or(0);
+    let floor = ((max_count as f64) * oversample_floor) as usize;
+    let base_len = pool.len();
+    for (label, &count) in counts.iter().enumerate() {
+        if count == 0 || count >= floor {
+            continue;
         }
-    };
-    let mut extras: Vec<u32> = Vec::new();
-    // Rare-class oversampling to a floor fraction of the largest class.
-    if oversample_floor > 0.0 {
-        let mut counts = vec![0usize; stage.num_classes()];
-        for i in 0..base_len {
-            counts[label_at(i)] += 1;
-        }
-        let max_count = counts.iter().copied().max().unwrap_or(0);
-        let floor = ((max_count as f64) * oversample_floor) as usize;
-        let mut oversampled = 0u64;
-        let mut extra: Vec<u32> = Vec::new();
-        for (label, &count) in counts.iter().enumerate() {
-            if count == 0 || count >= floor {
-                continue;
+        let class_rows: Vec<(u32, u16)> = pool[..base_len]
+            .iter()
+            .filter(|&&(_, l)| l as usize == label)
+            .copied()
+            .collect();
+        let mut extra = 0usize;
+        while count + extra < floor {
+            if extra >= max_count {
+                // Hard safety bound: never duplicate a class more
+                // than the largest class's population.
+                cati_obs::warn!(
+                    obs,
+                    "{stage}: oversampling label {label} stopped at the \
+                     {max_count}-duplicate bound, short of floor {floor}"
+                );
+                break;
             }
-            let pool: Vec<u32> = (0..base_len)
-                .filter(|&i| label_at(i) == label)
-                .map(|i| match &base {
-                    Some(order) => order[i],
-                    None => i as u32,
-                })
-                .collect();
-            while count + extra.len() < floor && !pool.is_empty() {
-                if extra.len() >= max_count {
-                    // Hard safety bound: never duplicate a class more
-                    // than the largest class's population.
-                    cati_obs::warn!(
-                        obs,
-                        "{stage}: oversampling label {label} stopped at the \
-                         {max_count}-duplicate bound, short of floor {floor}"
-                    );
-                    break;
-                }
-                extra.push(pool[rng.gen_range(0..pool.len())]);
-            }
-            oversampled += extra.len() as u64;
-            extras.append(&mut extra);
-        }
-        if oversampled > 0 {
-            obs.event(&Event::Counter {
-                name: "train.oversampled",
-                delta: oversampled,
-            });
+            pool.push(class_rows[rng.gen_range(0..class_rows.len())]);
+            extra += 1;
         }
     }
-    StagePlan {
-        base,
-        base_len,
-        extras,
+    let oversampled = (pool.len() - base_len) as u64;
+    if oversampled > 0 {
+        obs.event(&Event::Counter {
+            name: "train.oversampled",
+            delta: oversampled,
+        });
+    }
+    pool
+}
+
+/// One stage's planned samples embedded into memory: row `i` of one
+/// flat `plan × (embed_dim·VUC_LEN)` [`Tensor`] holds plan entry `i`'s
+/// window, bit-identical to [`VucEmbedder::embed_window`] and to the
+/// shard row of the same pool row. Implements [`SampleSource`], so the
+/// trainer consumes it exactly like a [`ShardSamples`] over the same
+/// plan.
+///
+/// [`ShardSamples`]: crate::shards::ShardSamples
+pub(crate) struct EmbeddedSamples {
+    xs: Tensor,
+    labels: Vec<u16>,
+}
+
+impl EmbeddedSamples {
+    /// Embeds the planned `(row, label)` pairs of `plan` (rows index
+    /// `windows`) in parallel: one allocation for the whole stage.
+    pub(crate) fn new(
+        windows: &[&[GenInsn]],
+        embedder: &VucEmbedder,
+        plan: Vec<(u32, u16)>,
+    ) -> EmbeddedSamples {
+        let cols = embedder.embed_dim() * cati_analysis::VUC_LEN;
+        let xs = Tensor::build_rows(
+            plan.len(),
+            cols,
+            || (),
+            |_, i, x| embedder.embed_window_into(windows[plan[i].0 as usize], x),
+        );
+        EmbeddedSamples {
+            xs,
+            labels: plan.into_iter().map(|(_, label)| label).collect(),
+        }
     }
 }
 
-/// Builds the training set of one stage: every VUC whose ground-truth
-/// class carries a label at `stage`, embedded and labeled, capped and
-/// rare-class-oversampled per the configuration (see
-/// [`plan_stage_samples`]). Oversampling never adds more than
-/// `max_count` duplicates per rare class (the safety bound), and
-/// everything it adds is counted into the `train.oversampled` counter
-/// on `obs` (with a warning when the bound truncates a class short of
-/// its floor).
-pub fn stage_dataset(
-    dataset: &Dataset,
-    embedder: &VucEmbedder,
-    stage: StageId,
-    max_samples: usize,
-    oversample_floor: f64,
-    rng: &mut StdRng,
-    obs: &dyn Observer,
-) -> Vec<Sample> {
-    // Collect (extraction ref, vuc idx) + label first — cheap.
-    let mut refs: Vec<(&Extraction, usize)> = Vec::new();
-    let mut labels: Vec<usize> = Vec::new();
-    for (_, ex) in &dataset.entries {
-        for (i, vuc) in ex.vucs.iter().enumerate() {
-            let Some(class) = vuc.class(&ex.vars) else {
-                continue;
-            };
-            let Some(label) = stage.label_of(class) else {
-                continue;
-            };
-            refs.push((ex, i));
-            labels.push(label);
-        }
+impl SampleSource for EmbeddedSamples {
+    fn len(&self) -> usize {
+        self.labels.len()
     }
-    let plan = plan_stage_samples(&labels, stage, max_samples, oversample_floor, rng, obs);
-    let embed_at = |i: usize| -> Sample {
-        let (ex, v) = refs[i];
-        (embedder.embed_window(&ex.vucs[v].insns), labels[i])
-    };
-    // Base order: embed straight out of the pool when uncapped — the
-    // common `max_samples == 0` path allocates no intermediate index
-    // buffer at all.
-    let mut samples: Vec<Sample> = match plan.base_order() {
-        None => refs
-            .par_iter()
-            .zip(labels.par_iter())
-            .map(|((ex, v), &label)| (embedder.embed_window(&ex.vucs[*v].insns), label))
-            .collect(),
-        Some(order) => order.par_iter().map(|&i| embed_at(i as usize)).collect(),
-    };
-    samples.extend(plan.extra_order().iter().map(|&i| embed_at(i as usize)));
-    samples
+
+    fn sample<'a>(&'a self, idx: usize, _scratch: &'a mut Vec<f32>) -> (&'a [f32], usize) {
+        (self.xs.row(idx), self.labels[idx] as usize)
+    }
 }
 
 /// Embeds every VUC of one extraction (inference path) into one flat
@@ -437,7 +393,7 @@ mod tests {
         let model = Word2Vec::train(&sentences, W2vConfig::tiny());
         let embedder = VucEmbedder::new(model);
 
-        let s1 = stage_dataset(
+        let s1 = stage_source(
             &ds,
             &embedder,
             StageId::Stage1,
@@ -452,12 +408,12 @@ mod tests {
             "cap plus oversample slack, got {}",
             s1.len()
         );
-        for (x, label) in &s1 {
+        for (x, label) in samples(&s1) {
             assert_eq!(x.len(), embedder.embed_dim() * 21);
-            assert!(*label < 2);
+            assert!(label < 2);
         }
         // Stage 3-2 may be tiny but labels stay in range.
-        let s32 = stage_dataset(
+        let s32 = stage_source(
             &ds,
             &embedder,
             StageId::Stage3Float,
@@ -466,9 +422,32 @@ mod tests {
             &mut rng,
             &cati_obs::NOOP,
         );
-        for (_, label) in &s32 {
-            assert!(*label < 3);
-        }
+        assert!(samples(&s32).all(|(_, label)| label < 3));
+    }
+
+    /// One stage's in-memory training source, planned and embedded
+    /// the way `MultiStage::train` builds it.
+    fn stage_source(
+        dataset: &Dataset,
+        embedder: &VucEmbedder,
+        stage: StageId,
+        max_samples: usize,
+        oversample_floor: f64,
+        rng: &mut StdRng,
+        obs: &dyn Observer,
+    ) -> EmbeddedSamples {
+        let (windows, classes) = labeled_rows(dataset);
+        let plan = plan_stage_samples(&classes, stage, max_samples, oversample_floor, rng, obs);
+        EmbeddedSamples::new(&windows, embedder, plan)
+    }
+
+    /// The source's samples in training order.
+    fn samples(src: &EmbeddedSamples) -> impl Iterator<Item = (Vec<f32>, usize)> + '_ {
+        (0..src.len()).map(|k| {
+            let mut scratch = Vec::new();
+            let (x, label) = src.sample(k, &mut scratch);
+            (x.to_vec(), label)
+        })
     }
 
     /// A dataset of single-VUC variables with a chosen Stage-1 class
@@ -518,9 +497,9 @@ mod tests {
         VucEmbedder::new(Word2Vec::train(&sentences, W2vConfig::tiny()))
     }
 
-    fn stage1_label_counts(samples: &[Sample]) -> (usize, usize) {
-        let ptrs = samples.iter().filter(|(_, l)| *l == 1).count();
-        (samples.len() - ptrs, ptrs)
+    fn stage1_label_counts(src: &EmbeddedSamples) -> (usize, usize) {
+        let ptrs = samples(src).filter(|&(_, l)| l == 1).count();
+        (src.len() - ptrs, ptrs)
     }
 
     #[test]
@@ -532,7 +511,7 @@ mod tests {
         let rec = Recorder::new(RecorderConfig::default());
         // floor = 10% of the 100-strong majority = 10; the 3 pointer
         // samples gain exactly 7 duplicates.
-        let s = stage_dataset(&ds, &embedder, StageId::Stage1, 0, 0.1, &mut rng, &rec);
+        let s = stage_source(&ds, &embedder, StageId::Stage1, 0, 0.1, &mut rng, &rec);
         let (ints, ptrs) = stage1_label_counts(&s);
         assert_eq!((ints, ptrs), (100, 10));
         assert_eq!(rec.metrics().counter_value("train.oversampled"), 7);
@@ -545,7 +524,7 @@ mod tests {
         let embedder = tiny_embedder();
         let mut rng = StdRng::seed_from_u64(9);
         let rec = Recorder::new(RecorderConfig::default());
-        let s = stage_dataset(&ds, &embedder, StageId::Stage1, 0, 0.1, &mut rng, &rec);
+        let s = stage_source(&ds, &embedder, StageId::Stage1, 0, 0.1, &mut rng, &rec);
         assert_eq!(stage1_label_counts(&s), (100, 10));
         assert_eq!(rec.metrics().counter_value("train.oversampled"), 0);
     }
@@ -560,7 +539,7 @@ mod tests {
         // A floor of 5× the majority (50) can never be reached by any
         // class; the bound stops each at exactly max_count = 10
         // duplicates (the old loop leaked an 11th before noticing).
-        let s = stage_dataset(&ds, &embedder, StageId::Stage1, 0, 5.0, &mut rng, &rec);
+        let s = stage_source(&ds, &embedder, StageId::Stage1, 0, 5.0, &mut rng, &rec);
         assert_eq!(stage1_label_counts(&s), (20, 12));
         assert_eq!(rec.metrics().counter_value("train.oversampled"), 20);
     }
@@ -572,7 +551,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         // 102 refs don't exceed the 102 cap, so nothing is truncated;
         // oversampling then legitimately pushes past max_samples.
-        let s = stage_dataset(
+        let s = stage_source(
             &ds,
             &embedder,
             StageId::Stage1,
@@ -583,7 +562,7 @@ mod tests {
         );
         assert_eq!(s.len(), 110, "100 ints + 2 ptrs + 8 duplicates");
         // With the floor disabled the cap is exact.
-        let capped = stage_dataset(
+        let capped = stage_source(
             &ds,
             &embedder,
             StageId::Stage1,
@@ -595,11 +574,11 @@ mod tests {
         assert_eq!(capped.len(), 50);
     }
 
-    /// Verbatim copy of the pre-planner `stage_dataset` (the PR 1
-    /// algorithm: materialize a `(ref, vuc, label)` vec, shuffle and
-    /// truncate it under a cap, oversample by appending into it).
-    /// Kept as the reference that pins the planner-based rewrite —
-    /// including its RNG consumption — bitwise.
+    /// Verbatim copy of the original `stage_dataset` (materialize a
+    /// `(ref, vuc, label)` vec, shuffle and truncate it under a cap,
+    /// oversample by appending into it, embed each sample). Kept as
+    /// the reference that pins the planner and the in-memory source —
+    /// including their RNG consumption — bitwise.
     fn stage_dataset_reference(
         dataset: &Dataset,
         embedder: &VucEmbedder,
@@ -608,7 +587,7 @@ mod tests {
         oversample_floor: f64,
         rng: &mut StdRng,
         obs: &dyn Observer,
-    ) -> Vec<Sample> {
+    ) -> Vec<(Vec<f32>, usize)> {
         let mut refs: Vec<(&Extraction, usize, usize)> = Vec::new();
         for (_, ex) in &dataset.entries {
             for (i, vuc) in ex.vucs.iter().enumerate() {
@@ -667,7 +646,7 @@ mod tests {
                     for seed in [1u64, 9, 42] {
                         let mut rng_new = StdRng::seed_from_u64(seed);
                         let mut rng_old = StdRng::seed_from_u64(seed);
-                        let new = stage_dataset(
+                        let new = stage_source(
                             ds,
                             &embedder,
                             stage,
@@ -687,8 +666,8 @@ mod tests {
                         );
                         let case = format!("{stage} cap={max_samples} floor={floor} seed={seed}");
                         assert_eq!(new.len(), old.len(), "{case}: sample count");
-                        for (k, ((xa, la), (xb, lb))) in new.iter().zip(&old).enumerate() {
-                            assert_eq!(la, lb, "{case}: label of sample {k}");
+                        for (k, ((xa, la), (xb, lb))) in samples(&new).zip(&old).enumerate() {
+                            assert_eq!(la, *lb, "{case}: label of sample {k}");
                             assert!(
                                 xa.iter()
                                     .zip(xb.iter())

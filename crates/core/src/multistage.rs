@@ -2,11 +2,13 @@
 
 use crate::checkpoint::{CheckpointDir, CheckpointError, TrainIdentity};
 use crate::config::Config;
-use crate::dataset::{plan_stage_samples, stage_dataset, Dataset};
+use crate::dataset::{labeled_rows, plan_stage_samples, Dataset, EmbeddedSamples};
 use crate::shards::{ShardError, ShardSamples, ShardSet};
 use cati_dwarf::{StageId, TypeClass};
 use cati_embedding::VucEmbedder;
-use cati_nn::{argmax, predict_fused, Adam, Rows, Tensor, TextCnn, TextCnnConfig, TrainHook};
+use cati_nn::{
+    argmax, predict_fused, Adam, Rows, SampleSource, Tensor, TextCnn, TextCnnConfig, TrainHook,
+};
 use cati_obs::{Event, Level, Observer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -113,6 +115,117 @@ pub struct MultiStage {
     models: Vec<(StageId, TextCnn)>,
 }
 
+/// The one stage-training loop behind [`MultiStage::train`] and
+/// [`MultiStage::train_streamed`]: six concurrent stage workers over
+/// a labeled-row pool given as class bytes (pool order, see
+/// [`crate::dataset::labeled_rows`]). Each worker derives its
+/// stage-seeded RNG, plans its samples ([`plan_stage_samples`]), has
+/// `rows` turn the plan into a [`SampleSource`] — embedded in memory or
+/// read from shards — and trains it epoch by epoch. With `ckpt`
+/// (directory, run identity, options), the run resumes from and
+/// checkpoints to it; without, it runs every epoch and touches no
+/// disk. Returns `Ok(None)` when `opts.stop_after_epoch` paused the
+/// run.
+fn train_stages<S: SampleSource>(
+    classes: &[u8],
+    embed_dim: usize,
+    config: &Config,
+    rows: impl Fn(Vec<(u32, u16)>) -> S + Sync,
+    ckpt: Option<(&CheckpointDir, &TrainIdentity, StreamOptions)>,
+    obs: &dyn Observer,
+) -> Result<Option<MultiStage>, StreamError> {
+    let stop = ckpt
+        .and_then(|(_, _, opts)| opts.stop_after_epoch)
+        .unwrap_or(config.epochs)
+        .min(config.epochs);
+    let trained: Vec<Result<(StageId, TextCnn, String), StreamError>> = StageId::ALL
+        .par_iter()
+        .with_max_len(1)
+        .map(|&stage| {
+            let t0 = Instant::now();
+            let stage_name = stage.to_string();
+            let mut rng = StdRng::seed_from_u64(stage_seed(config.seed, stage));
+            let plan = plan_stage_samples(
+                classes,
+                stage,
+                config.max_stage_samples,
+                config.oversample_floor,
+                &mut rng,
+                obs,
+            );
+            let samples = plan.len();
+            obs.event(&Event::Counter {
+                name: "train.samples",
+                delta: samples as u64,
+            });
+            let data = rows(plan);
+            let cnn_cfg = TextCnnConfig {
+                seq_len: cati_analysis::VUC_LEN,
+                embed_dim,
+                conv1: config.conv1,
+                conv2: config.conv2,
+                fc: config.fc,
+                classes: stage.num_classes(),
+            };
+            let mut model = TextCnn::new(cnn_cfg, config.seed ^ stage as u64);
+            let mut opt = Adam::new(config.lr);
+            let mut start_epoch = 0usize;
+            if let Some((dir, identity, opts)) = ckpt {
+                if opts.resume {
+                    if let Some(saved) = dir.load_stage(stage, cnn_cfg, identity)? {
+                        start_epoch = saved.epoch;
+                        model = saved.model;
+                        opt = saved.opt;
+                        rng = saved.rng;
+                    }
+                }
+            }
+            let mut last_loss = f32::NAN;
+            let mut hook = EpochHook {
+                obs,
+                stage: &stage_name,
+                epoch: 0,
+            };
+            for epoch in start_epoch..stop {
+                hook.epoch = epoch;
+                last_loss =
+                    model.train_epoch_hooked(&data, &mut opt, config.batch, &mut rng, &mut hook);
+                if let Some((dir, identity, opts)) = ckpt {
+                    dir.save_stage(stage, epoch + 1, &model, &opt, &rng, identity)?;
+                    if opts.epoch_sleep_ms > 0 {
+                        std::thread::sleep(std::time::Duration::from_millis(opts.epoch_sleep_ms));
+                    }
+                }
+            }
+            // Fixed span path regardless of which thread trained the
+            // stage (workers have their own span stacks).
+            obs.event(&Event::SpanClose {
+                path: &format!("train.{stage_name}"),
+                nanos: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
+                // Synthetic span, not guard-managed: no allocation
+                // attribution.
+                alloc_bytes: 0,
+                alloc_count: 0,
+            });
+            let line = format!("{stage}: {samples} samples, final loss {last_loss:.4}");
+            Ok((stage, model, line))
+        })
+        .collect();
+    let mut models = Vec::with_capacity(trained.len());
+    for result in trained {
+        let (stage, model, line) = result?;
+        obs.event(&Event::Message {
+            level: Level::Info,
+            text: &line,
+        });
+        models.push((stage, model));
+    }
+    if stop < config.epochs {
+        return Ok(None);
+    }
+    Ok(Some(MultiStage { models }))
+}
+
 impl MultiStage {
     /// Trains all six stages on `dataset` using `embedder` features.
     /// `obs` receives one `train.<stage>` span and per-epoch
@@ -126,99 +239,38 @@ impl MultiStage {
     /// lets the six stages train concurrently — each stage is its own
     /// parallel task, and the workers split the six tasks into
     /// contiguous runs — while staying bit-identical to sequential
-    /// training and to any other thread count. Observers only read the computation,
-    /// so the trained models are identical whatever observer is
-    /// installed.
+    /// training and to any other thread count. Observers only read the
+    /// computation, so the trained models are identical whatever
+    /// observer is installed.
+    ///
+    /// This is the stage loop [`MultiStage::train_streamed`] runs,
+    /// reading rows from memory: each stage embeds only its planned
+    /// rows, into one flat tensor.
     pub fn train(
         dataset: &Dataset,
         embedder: &VucEmbedder,
         config: &Config,
         obs: &dyn Observer,
     ) -> MultiStage {
-        let trained: Vec<(StageId, TextCnn, String)> = StageId::ALL
-            .par_iter()
-            .with_max_len(1)
-            .map(|&stage| {
-                let t0 = Instant::now();
-                let stage_name = stage.to_string();
-                let mut rng = StdRng::seed_from_u64(stage_seed(config.seed, stage));
-                let data = stage_dataset(
-                    dataset,
-                    embedder,
-                    stage,
-                    config.max_stage_samples,
-                    config.oversample_floor,
-                    &mut rng,
-                    obs,
-                );
-                obs.event(&Event::Counter {
-                    name: "train.samples",
-                    delta: data.len() as u64,
-                });
-                let cnn_cfg = TextCnnConfig {
-                    seq_len: cati_analysis::VUC_LEN,
-                    embed_dim: embedder.embed_dim(),
-                    conv1: config.conv1,
-                    conv2: config.conv2,
-                    fc: config.fc,
-                    classes: stage.num_classes(),
-                };
-                let mut model = TextCnn::new(cnn_cfg, config.seed ^ stage as u64);
-                let mut opt = Adam::new(config.lr);
-                let mut last_loss = f32::NAN;
-                let mut hook = EpochHook {
-                    obs,
-                    stage: &stage_name,
-                    epoch: 0,
-                };
-                for epoch in 0..config.epochs {
-                    hook.epoch = epoch;
-                    last_loss = model.train_epoch_hooked(
-                        &data,
-                        &mut opt,
-                        config.batch,
-                        &mut rng,
-                        &mut hook,
-                    );
-                }
-                // Fixed span path regardless of which thread trained
-                // the stage (workers have their own span stacks).
-                obs.event(&Event::SpanClose {
-                    path: &format!("train.{stage_name}"),
-                    nanos: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                    // Synthetic span, not guard-managed: no
-                    // allocation attribution.
-                    alloc_bytes: 0,
-                    alloc_count: 0,
-                });
-                let line = format!("{stage}: {} samples, final loss {last_loss:.4}", data.len());
-                (stage, model, line)
-            })
-            .collect();
-        let mut models = Vec::with_capacity(trained.len());
-        for (stage, model, line) in trained {
-            obs.event(&Event::Message {
-                level: Level::Info,
-                text: &line,
-            });
-            models.push((stage, model));
+        let (windows, classes) = labeled_rows(dataset);
+        let rows = |plan| EmbeddedSamples::new(&windows, embedder, plan);
+        match train_stages(&classes, embedder.embed_dim(), config, rows, None, obs) {
+            Ok(Some(stages)) => stages,
+            _ => unreachable!("in-memory training has no checkpoint to fail or pause at"),
         }
-        MultiStage { models }
     }
 
-    /// [`MultiStage::train`] out-of-core: the same six concurrent
-    /// stage workers, but samples live in an on-disk [`ShardSet`] and
-    /// every epoch ends with an atomic per-stage checkpoint in `ckpt`.
+    /// [`MultiStage::train`] out-of-core: the same stage loop, but
+    /// samples live in an on-disk [`ShardSet`] and every epoch ends
+    /// with an atomic per-stage checkpoint in `ckpt`.
     ///
     /// Bit-for-bit parity with the in-memory path holds by
-    /// construction: each stage derives the identical RNG, filters the
-    /// shard label bytes into the identical stage-label sequence the
-    /// in-memory pool would produce, runs the *same*
-    /// [`plan_stage_samples`] planner over it (RNG consumption depends
-    /// only on lengths and label multiplicities), and feeds the shard
-    /// rows through the same [`cati_nn::SampleSource`] trainer — the
-    /// shuffle, minibatch sharding, and reduction order never see
-    /// where the floats live.
+    /// construction: one loop, two row sources. Shard rows are written
+    /// in the pool order in-memory training plans over, so each stage
+    /// plans the identical `(row, label)` sequence, and the trainer
+    /// only sees the rows through [`SampleSource`] — the shuffle,
+    /// minibatch sharding, and reduction order never see where the
+    /// floats live.
     ///
     /// With `opts.resume`, stages restart from their saved epoch with
     /// model, optimizer, and RNG restored bitwise (the plan is
@@ -240,111 +292,10 @@ impl MultiStage {
         opts: StreamOptions,
         obs: &dyn Observer,
     ) -> Result<Option<MultiStage>, StreamError> {
+        let rows = |plan| ShardSamples::new(shards, plan);
         let embed_dim = shards.cols() / cati_analysis::VUC_LEN;
-        let stop = opts
-            .stop_after_epoch
-            .unwrap_or(config.epochs)
-            .min(config.epochs);
-        let trained: Vec<Result<(StageId, TextCnn, String), StreamError>> = StageId::ALL
-            .par_iter()
-            .with_max_len(1)
-            .map(|&stage| {
-                let t0 = Instant::now();
-                let stage_name = stage.to_string();
-                let mut rng = StdRng::seed_from_u64(stage_seed(config.seed, stage));
-                // Pool pass: stage-filter the resident label bytes —
-                // exactly the rows the in-memory pool would hold, in
-                // the same order. Floats stay on disk.
-                let mut pool_rows: Vec<u32> = Vec::new();
-                let mut pool_labels: Vec<usize> = Vec::new();
-                for (row, &cls) in shards.labels().iter().enumerate() {
-                    if let Some(label) = stage.label_of(TypeClass::ALL[cls as usize]) {
-                        pool_rows.push(row as u32);
-                        pool_labels.push(label);
-                    }
-                }
-                let plan = plan_stage_samples(
-                    &pool_labels,
-                    stage,
-                    config.max_stage_samples,
-                    config.oversample_floor,
-                    &mut rng,
-                    obs,
-                );
-                let sample_plan: Vec<(u32, u16)> = plan
-                    .iter()
-                    .map(|i| (pool_rows[i as usize], pool_labels[i as usize] as u16))
-                    .collect();
-                let data = ShardSamples::new(shards, sample_plan);
-                obs.event(&Event::Counter {
-                    name: "train.samples",
-                    delta: plan.len() as u64,
-                });
-                let cnn_cfg = TextCnnConfig {
-                    seq_len: cati_analysis::VUC_LEN,
-                    embed_dim,
-                    conv1: config.conv1,
-                    conv2: config.conv2,
-                    fc: config.fc,
-                    classes: stage.num_classes(),
-                };
-                let mut model = TextCnn::new(cnn_cfg, config.seed ^ stage as u64);
-                let mut opt = Adam::new(config.lr);
-                let mut start_epoch = 0usize;
-                if opts.resume {
-                    if let Some(saved) = ckpt.load_stage(stage, cnn_cfg, identity)? {
-                        start_epoch = saved.epoch;
-                        model = saved.model;
-                        opt = saved.opt;
-                        rng = saved.rng;
-                    }
-                }
-                let mut last_loss = f32::NAN;
-                let mut hook = EpochHook {
-                    obs,
-                    stage: &stage_name,
-                    epoch: 0,
-                };
-                for epoch in start_epoch..stop {
-                    hook.epoch = epoch;
-                    last_loss = model.train_epoch_hooked(
-                        &data,
-                        &mut opt,
-                        config.batch,
-                        &mut rng,
-                        &mut hook,
-                    );
-                    ckpt.save_stage(stage, epoch + 1, &model, &opt, &rng, identity)?;
-                    if opts.epoch_sleep_ms > 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(opts.epoch_sleep_ms));
-                    }
-                }
-                obs.event(&Event::SpanClose {
-                    path: &format!("train.{stage_name}"),
-                    nanos: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                    alloc_bytes: 0,
-                    alloc_count: 0,
-                });
-                let line = format!(
-                    "{stage}: {} samples (streamed), final loss {last_loss:.4}",
-                    plan.len()
-                );
-                Ok((stage, model, line))
-            })
-            .collect();
-        let mut models = Vec::with_capacity(trained.len());
-        for result in trained {
-            let (stage, model, line) = result?;
-            obs.event(&Event::Message {
-                level: Level::Info,
-                text: &line,
-            });
-            models.push((stage, model));
-        }
-        if stop < config.epochs {
-            return Ok(None);
-        }
-        Ok(Some(MultiStage { models }))
+        let ckpt = Some((ckpt, identity, opts));
+        train_stages(shards.labels(), embed_dim, config, rows, ckpt, obs)
     }
 
     /// Reassembles the tree from `(stage, model)` pairs — the binary

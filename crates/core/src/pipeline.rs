@@ -79,6 +79,40 @@ pub struct InferReport {
     pub diagnostics: Diagnostics,
 }
 
+/// The front half of training, step one: extracts the training
+/// binaries under the configured context mode (the `extract` span).
+fn extract_training_set(train: &[BuiltBinary], config: &Config, obs: &dyn Observer) -> Dataset {
+    cati_obs::info!(obs, "extracting {} training binaries", train.len());
+    let dataset = {
+        let _span = SpanGuard::enter(obs, "extract");
+        Dataset::from_binaries_mode(
+            train,
+            FeatureView::WithSymbols,
+            config.context_mode,
+            None,
+            obs,
+        )
+    };
+    cati_obs::info!(
+        obs,
+        "extracted {} variables / {} VUCs",
+        dataset.var_count(),
+        dataset.vuc_count()
+    );
+    dataset
+}
+
+/// The front half of training, step two: Word2Vec over the binaries'
+/// generalized function streams, sentences sampled from the master
+/// seed (the `embed` span).
+fn train_embedder(train: &[BuiltBinary], config: &Config, obs: &dyn Observer) -> VucEmbedder {
+    let _span = SpanGuard::enter(obs, "embed");
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let sentences = embedding_sentences(train, config.max_sentences, &mut rng);
+    cati_obs::info!(obs, "training Word2Vec on {} sentences", sentences.len());
+    VucEmbedder::new(Word2Vec::train_observed(&sentences, config.w2v, obs))
+}
+
 impl Cati {
     /// Trains the full pipeline on `train` binaries: extraction →
     /// Word2Vec → six stage CNNs. `obs` receives typed telemetry:
@@ -89,30 +123,8 @@ impl Cati {
     /// wanted; the trained system is bit-identical either way.
     pub fn train(train: &[BuiltBinary], config: &Config, obs: &dyn Observer) -> Cati {
         config.with_threads(|| {
-            let mut rng = StdRng::seed_from_u64(config.seed);
-            cati_obs::info!(obs, "extracting {} training binaries", train.len());
-            let dataset = {
-                let _span = SpanGuard::enter(obs, "extract");
-                Dataset::from_binaries_mode(
-                    train,
-                    FeatureView::WithSymbols,
-                    config.context_mode,
-                    None,
-                    obs,
-                )
-            };
-            cati_obs::info!(
-                obs,
-                "extracted {} variables / {} VUCs",
-                dataset.var_count(),
-                dataset.vuc_count()
-            );
-            let embedder = {
-                let _span = SpanGuard::enter(obs, "embed");
-                let sentences = embedding_sentences(train, config.max_sentences, &mut rng);
-                cati_obs::info!(obs, "training Word2Vec on {} sentences", sentences.len());
-                VucEmbedder::new(Word2Vec::train_observed(&sentences, config.w2v, obs))
-            };
+            let dataset = extract_training_set(train, config, obs);
+            let embedder = train_embedder(train, config, obs);
             let stages = MultiStage::train(&dataset, &embedder, config, obs);
             Cati {
                 config: *config,
@@ -171,40 +183,15 @@ impl Cati {
                     Err(ShardError::Io { ref err, .. })
                         if err.kind() == std::io::ErrorKind::NotFound =>
                     {
-                        let dataset = {
-                            let _span = SpanGuard::enter(obs, "extract");
-                            Dataset::from_binaries_mode(
-                                train,
-                                FeatureView::WithSymbols,
-                                config.context_mode,
-                                None,
-                                obs,
-                            )
-                        };
+                        let dataset = extract_training_set(train, config, obs);
                         write_dataset_shards(&dataset, &embedder, &shards_dir, 0, obs)?;
                         (embedder, ShardSet::open(&shards_dir)?)
                     }
                     Err(e) => return Err(e.into()),
                 },
                 None => {
-                    let mut rng = StdRng::seed_from_u64(config.seed);
-                    cati_obs::info!(obs, "extracting {} training binaries", train.len());
-                    let dataset = {
-                        let _span = SpanGuard::enter(obs, "extract");
-                        Dataset::from_binaries_mode(
-                            train,
-                            FeatureView::WithSymbols,
-                            config.context_mode,
-                            None,
-                            obs,
-                        )
-                    };
-                    let embedder = {
-                        let _span = SpanGuard::enter(obs, "embed");
-                        let sentences = embedding_sentences(train, config.max_sentences, &mut rng);
-                        cati_obs::info!(obs, "training Word2Vec on {} sentences", sentences.len());
-                        VucEmbedder::new(Word2Vec::train_observed(&sentences, config.w2v, obs))
-                    };
+                    let dataset = extract_training_set(train, config, obs);
+                    let embedder = train_embedder(train, config, obs);
                     ckpt.save_embedder(&embedder)?;
                     let rows = {
                         let _span = SpanGuard::enter(obs, "shard");

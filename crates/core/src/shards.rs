@@ -379,16 +379,16 @@ impl ShardWriter {
 }
 
 /// Streams a dataset's labeled VUCs into a shard set under `dir`: one
-/// row per VUC with a ground-truth class, in `(entry, vuc)` order,
-/// labeled with the class's [`TypeClass::index`] byte and embedded
-/// with `embedder` — the identical `(label sequence, floats)` the
-/// in-memory [`stage_dataset`] pool would see, which is what makes
-/// streamed training bit-identical. Rows are embedded in parallel in
-/// bounded chunks and flushed shard-by-shard, so peak memory never
-/// scales with the corpus. Returns the total row count.
+/// row per [`labeled_rows`] entry, in pool order, labeled with the
+/// class's [`TypeClass::index`] byte and embedded with `embedder` —
+/// the identical `(class sequence, floats)` in-memory training embeds
+/// from, which is what makes streamed training bit-identical. Rows
+/// are embedded in parallel in bounded chunks and flushed
+/// shard-by-shard, so peak memory never scales with the corpus.
+/// Returns the total row count.
 ///
 /// [`TypeClass::index`]: cati_dwarf::TypeClass::index
-/// [`stage_dataset`]: crate::dataset::stage_dataset
+/// [`labeled_rows`]: crate::dataset::labeled_rows
 ///
 /// # Errors
 ///
@@ -403,28 +403,17 @@ pub fn write_dataset_shards(
     use rayon::prelude::*;
     let cols = embedder.embed_dim() * cati_analysis::VUC_LEN;
     let mut writer = ShardWriter::create(dir, cols, rows_per_shard)?;
-    // Labeled VUCs in (entry, vuc) order — the pool order every
-    // training path shares.
-    let labeled: Vec<(&cati_analysis::Extraction, usize, u8)> = dataset
-        .entries
-        .iter()
-        .flat_map(|(_, ex)| {
-            ex.vucs.iter().enumerate().filter_map(move |(v, vuc)| {
-                let class = vuc.class(&ex.vars)?;
-                Some((ex, v, class.index() as u8))
-            })
-        })
-        .collect();
+    let (windows, classes) = crate::dataset::labeled_rows(dataset);
     // Embed in parallel a bounded chunk at a time; push serially so
     // shard contents stay in pool order.
     const CHUNK: usize = 1024;
-    for chunk in labeled.chunks(CHUNK) {
-        let rows: Vec<(u8, Vec<f32>)> = chunk
+    for (windows, classes) in windows.chunks(CHUNK).zip(classes.chunks(CHUNK)) {
+        let rows: Vec<Vec<f32>> = windows
             .par_iter()
-            .map(|&(ex, v, class)| (class, embedder.embed_window(&ex.vucs[v].insns)))
+            .map(|w| embedder.embed_window(w))
             .collect();
-        for (class, row) in &rows {
-            writer.push(*class, row)?;
+        for (&class, row) in classes.iter().zip(&rows) {
+            writer.push(class, row)?;
         }
     }
     let fingerprint = crate::artifact_cache::embedder_fingerprint(embedder).to_string();
@@ -677,8 +666,8 @@ fn read_floats_at(file: &File, path: &Path, off: u64, out: &mut [f32]) -> Result
 /// sample at plan position `i` is global row `plan[i].0` with stage
 /// label `plan[i].1`. Implements [`SampleSource`], so
 /// [`TextCnn::train_epoch_hooked`](cati_nn::TextCnn::train_epoch_hooked)
-/// consumes it exactly like an in-memory sample vector — same
-/// shuffle, same sharding, same reduction order, bit-identical
+/// consumes it exactly like the in-memory source over the same plan —
+/// same shuffle, same sharding, same reduction order, bit-identical
 /// weights.
 pub struct ShardSamples<'a> {
     shards: &'a ShardSet,

@@ -12,11 +12,10 @@ use crate::layers::{
 };
 use crate::optim::{Adam, GradBuffers};
 use crate::param::ParamBuf;
-use crate::tensor::{argmax, Rows, Tensor};
+use crate::tensor::{Rows, Tensor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters of a [`TextCnn`].
@@ -706,33 +705,12 @@ impl TextCnn {
         hook.on_epoch(mean);
         mean
     }
-
-    /// Classification accuracy over `data`; workers share one
-    /// [`Workspace`] (and one decode scratch) per shard.
-    pub fn accuracy<S: SampleSource + ?Sized>(&self, data: &S) -> f64 {
-        if data.is_empty() {
-            return 0.0;
-        }
-        let idxs: Vec<usize> = (0..data.len()).collect();
-        let correct: usize = idxs
-            .par_iter()
-            .map_init(
-                || (Workspace::default(), Vec::new()),
-                |(ws, scratch), &i| {
-                    let (x, label) = data.sample(i, scratch);
-                    // argmax over logits == argmax over softmax probs.
-                    self.forward(x, ws);
-                    usize::from(argmax(&ws.logits) == label)
-                },
-            )
-            .sum();
-        correct as f64 / data.len() as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor::argmax;
 
     fn toy_dataset(cfg: TextCnnConfig, n: usize) -> Vec<(Vec<f32>, usize)> {
         // Class 0: energy at the left of the sequence; class 1: right.
@@ -778,11 +756,18 @@ mod tests {
         let data = toy_dataset(cfg, 120);
         let mut opt = Adam::new(0.01);
         let mut rng = StdRng::seed_from_u64(5);
-        let initial = model.accuracy(&data);
+        let accuracy = |model: &TextCnn| {
+            let probs = model.predict_batch(&data.iter().map(|(x, _)| x).collect::<Vec<_>>());
+            let correct = (0..data.len())
+                .filter(|&i| argmax(probs.row(i)) == data[i].1)
+                .count();
+            correct as f64 / data.len() as f64
+        };
+        let initial = accuracy(&model);
         for _ in 0..8 {
             model.train_epoch(&data, &mut opt, 16, &mut rng);
         }
-        let trained = model.accuracy(&data);
+        let trained = accuracy(&model);
         assert!(
             trained > 0.95,
             "accuracy {initial:.2} -> {trained:.2}, failed to learn"
@@ -846,6 +831,7 @@ mod tests {
     mod oracle {
         use super::super::*;
         use crate::layers::reference::{maxpool2_argmax, maxpool2_backward};
+        use rayon::prelude::*;
 
         #[derive(Default)]
         struct Workspace {

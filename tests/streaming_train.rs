@@ -13,7 +13,7 @@
 //!    or truncated shards, corrupt checkpoints, a foreign config) is
 //!    refused with a typed error — never silently retrained wrong.
 
-use cati::obs::NOOP;
+use cati::obs::{Recorder, RecorderConfig, NOOP};
 use cati::{Cati, CheckpointError, Config, ShardError, StreamError, StreamOptions};
 use cati_synbin::{build_corpus, Corpus, CorpusConfig};
 use std::path::{Path, PathBuf};
@@ -48,37 +48,92 @@ fn stream_full(corpus: &Corpus, config: &Config, dir: &Path) -> Cati {
 
 /// Serialized model bytes, the currency of every parity assertion.
 fn saved_bytes(cati: &Cati, tag: &str) -> Vec<u8> {
-    let path = std::env::temp_dir().join(format!("cati_stream_{tag}_{}.json", std::process::id()));
+    let path = std::env::temp_dir().join(format!("cati_stream_{tag}_{}.cati", std::process::id()));
     cati.save(&path).expect("save failed");
     let bytes = std::fs::read(&path).expect("read saved model");
     std::fs::remove_file(&path).ok();
     bytes
 }
 
-#[test]
-fn streamed_training_is_bit_identical_to_in_memory() {
-    let corpus = test_corpus();
-    let config = test_config();
-    let in_memory = Cati::train(&corpus.train, &config, &NOOP);
-    let dir = fresh_dir("parity");
-    let streamed = stream_full(&corpus, &config, &dir);
+/// Trains `config` in memory and streamed, each under its own
+/// recorder, and demands identical systems, bytes, inference and
+/// sample counters. Returns the streamed run's recorder.
+fn assert_streamed_matches_in_memory(corpus: &Corpus, config: &Config, tag: &str) -> Recorder {
+    let mem_rec = Recorder::new(RecorderConfig::default());
+    let in_memory = Cati::train(&corpus.train, config, &mem_rec);
+    let dir = fresh_dir(tag);
+    let str_rec = Recorder::new(RecorderConfig::default());
+    let streamed = Cati::train_streamed(
+        &corpus.train,
+        config,
+        &dir,
+        StreamOptions::default(),
+        &str_rec,
+    )
+    .expect("streamed training failed")
+    .expect("full run must produce a system");
     assert_eq!(
         in_memory, streamed,
-        "streamed training diverged from the in-memory path"
+        "{tag}: streamed training diverged from the in-memory path"
     );
     assert_eq!(
-        saved_bytes(&in_memory, "parity_mem"),
-        saved_bytes(&streamed, "parity_str"),
-        "serialized models differ between streamed and in-memory training"
+        saved_bytes(&in_memory, &format!("{tag}_mem")),
+        saved_bytes(&streamed, &format!("{tag}_str")),
+        "{tag}: serialized models differ between streamed and in-memory training"
     );
     // And inference downstream of both agrees exactly.
     let stripped = corpus.test[0].binary.strip();
     assert_eq!(
         in_memory.infer(&stripped).unwrap(),
         streamed.infer(&stripped).unwrap(),
-        "inference diverged between streamed and in-memory models"
+        "{tag}: inference diverged between streamed and in-memory models"
     );
+    for counter in ["train.samples", "train.oversampled"] {
+        assert_eq!(
+            mem_rec.metrics().counter_value(counter),
+            str_rec.metrics().counter_value(counter),
+            "{tag}: {counter} differs between the paths"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
+    str_rec
+}
+
+/// Samples planned before oversampling, summed over the six stages.
+fn base_samples(rec: &Recorder) -> u64 {
+    let m = rec.metrics();
+    m.counter_value("train.samples") - m.counter_value("train.oversampled")
+}
+
+/// Both plan shapes: the uncapped identity order, and a cap below the
+/// Stage 1 pool (every labeled row) that shuffles and truncates,
+/// with rare-class oversampling firing on top.
+#[test]
+fn streamed_training_is_bit_identical_to_in_memory() {
+    let corpus = test_corpus();
+    let uncapped = Config {
+        max_stage_samples: 0,
+        ..test_config()
+    };
+    let rec = assert_streamed_matches_in_memory(&corpus, &uncapped, "parity_uncapped");
+    let stage1_pool = rec.metrics().counter_value("shards.rows");
+    // One epoch: the plan shape is what differs, and the uncapped
+    // run already covers the epoch-to-epoch RNG stream.
+    let capped = Config {
+        epochs: 1,
+        max_stage_samples: stage1_pool as usize / 2,
+        ..test_config()
+    };
+    let capped_rec = assert_streamed_matches_in_memory(&corpus, &capped, "parity_capped");
+    assert!(
+        base_samples(&capped_rec) < base_samples(&rec),
+        "the cap of {} never applied",
+        capped.max_stage_samples
+    );
+    assert!(
+        capped_rec.metrics().counter_value("train.oversampled") > 0,
+        "oversampling never fired under the cap"
+    );
 }
 
 #[test]
