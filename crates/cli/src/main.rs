@@ -321,6 +321,9 @@ fn cmd_vars(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// How many test-split binaries `cati train` scores as its holdout.
+const HOLDOUT: usize = 4;
+
 fn cmd_train(args: &Args) -> Result<(), String> {
     let corpus_dir = PathBuf::from(
         args.flags
@@ -340,7 +343,9 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     let mut holdout = Vec::new();
     for entry in &manifest {
         let split = entry["split"].as_str().unwrap_or("");
-        if split != "train" && split != "test" {
+        // Only the first HOLDOUT test files are scored; later ones are
+        // not even read.
+        if split != "train" && (split != "test" || holdout.len() >= HOLDOUT) {
             continue;
         }
         let file = entry["file"].as_str().ok_or("bad manifest")?;
@@ -364,7 +369,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         };
         if split == "train" {
             train.push(built);
-        } else if holdout.len() < 4 {
+        } else {
             holdout.push(built);
         }
     }

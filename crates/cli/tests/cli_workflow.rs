@@ -235,3 +235,53 @@ fn full_cli_workflow() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `cati train` scores only the first four test-split binaries of the
+/// manifest: a corrupt fifth test file is never read, while a corrupt
+/// file among the first four is still refused by name.
+#[test]
+fn train_reads_only_the_scored_test_files() {
+    let dir = std::env::temp_dir().join(format!("cati_cli_holdout_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (ok, _, stderr) = run(&["build-corpus", "--out", "corpus", "--seed", "9"], &dir);
+    assert!(ok, "build-corpus failed: {stderr}");
+    let manifest = dir.join("corpus/manifest.json");
+    let entries: Vec<serde_json::Value> =
+        serde_json::from_slice(&std::fs::read(&manifest).unwrap()).unwrap();
+    // One training binary keeps the run short; five test binaries put
+    // exactly one past the holdout.
+    let train = entries.iter().find(|e| e["split"] == "train").unwrap();
+    let tests: Vec<&serde_json::Value> = entries
+        .iter()
+        .filter(|e| e["split"] == "test")
+        .take(5)
+        .collect();
+    assert_eq!(tests.len(), 5, "the small corpus has five test binaries");
+    let mut kept = vec![train.clone()];
+    kept.extend(tests.iter().map(|&e| e.clone()));
+    std::fs::write(&manifest, serde_json::to_string(&kept).unwrap()).unwrap();
+    let file = |e: &serde_json::Value| e["file"].as_str().unwrap().to_string();
+
+    std::fs::write(dir.join("corpus").join(file(tests[4])), b"not a binary").unwrap();
+    let (ok, _, stderr) = run(
+        &["train", "--corpus", "corpus", "--out", "model.cati"],
+        &dir,
+    );
+    assert!(ok, "a corrupt fifth test file was read: {stderr}");
+
+    let second = file(tests[1]);
+    std::fs::write(dir.join("corpus").join(&second), b"not a binary").unwrap();
+    let out = Command::new(cati_bin())
+        .args(["train", "--corpus", "corpus", "--out", "model.cati"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn cati");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&second),
+        "error does not name {second}: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}

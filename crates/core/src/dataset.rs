@@ -307,48 +307,59 @@ impl SampleSource for EmbeddedSamples {
 }
 
 /// Embeds every VUC of one extraction (inference path) into one flat
-/// `vucs × (embed_dim·VUC_LEN)` [`Tensor`], one row per VUC. Rows are
-/// filled in parallel; each row is bit-identical to
-/// [`VucEmbedder::embed_window`] on that VUC.
-///
-/// Hot-path shape: the instruction-column cache is read-locked *once*
-/// for the whole batch (`VucEmbedder::columns`) and every worker
-/// scatters borrowed columns straight into its rows — no per-insn
-/// lock, `Arc` clone, or telemetry atomics, and no redundant zero
-/// fill. Columns missing from the cache are computed directly into
-/// the rows (same floats), then inserted afterwards via one
-/// [`VucEmbedder::prime`] pass so later extractions hit.
+/// `vucs × (embed_dim·VUC_LEN)` [`Tensor`], one row per VUC, through
+/// [`embed_windows_into`].
 pub fn embed_extraction(ex: &Extraction, embedder: &VucEmbedder) -> Tensor {
-    use std::sync::atomic::{AtomicU64, Ordering};
     let cols = ex
         .vucs
         .first()
         .map_or(0, |v| embedder.embed_dim() * v.insns.len());
+    let windows: Vec<&[GenInsn]> = ex.vucs.iter().map(|v| v.insns.as_slice()).collect();
+    let mut data = vec![0.0; windows.len() * cols];
+    embed_windows_into(&windows, embedder, cols, &mut data);
+    Tensor::from_flat(windows.len(), cols, data)
+}
+
+/// Embeds `windows[i]` into row `i` of the flat block `out`
+/// (`windows.len()` rows of `cols` floats). Rows are filled in
+/// parallel; each row is bit-identical to
+/// [`VucEmbedder::embed_window`] on its window.
+///
+/// Hot-path shape: the instruction-column cache is read-locked *once*
+/// for the whole batch (`VucEmbedder::columns`) and every worker
+/// scatters borrowed columns straight into its rows — no per-insn
+/// lock, `Arc` clone, or telemetry atomics. Columns missing from the
+/// cache are computed directly into the rows (same floats), then
+/// inserted afterwards via one [`VucEmbedder::prime`] pass so later
+/// batches hit.
+pub(crate) fn embed_windows_into(
+    windows: &[&[GenInsn]],
+    embedder: &VucEmbedder,
+    cols: usize,
+    out: &mut [f32],
+) {
+    use std::sync::atomic::{AtomicU64, Ordering};
     let misses = AtomicU64::new(0);
-    let mut insns_total = 0u64;
-    let xs = {
+    {
         let view = embedder.columns();
-        Tensor::build_rows(
-            ex.vucs.len(),
+        cati_nn::fill_rows(
+            out,
             cols,
             || &view,
             |view, i, row| {
-                let m = view.fill_window(&ex.vucs[i].insns, row) as u64;
+                let m = view.fill_window(windows[i], row) as u64;
                 if m > 0 {
                     misses.fetch_add(m, Ordering::Relaxed);
                 }
             },
-        )
-    };
-    let missed = misses.into_inner();
-    for v in &ex.vucs {
-        insns_total += v.insns.len() as u64;
+        );
     }
+    let missed = misses.into_inner();
+    let insns_total: u64 = windows.iter().map(|w| w.len() as u64).sum();
     embedder.record_usage(insns_total - missed, missed);
     if missed > 0 {
-        embedder.prime(ex.vucs.iter().map(|v| v.insns.as_slice()));
+        embedder.prime(windows.iter().copied());
     }
-    xs
 }
 
 /// The class distribution of labeled variables, indexed by

@@ -14,6 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
 use std::fmt;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// RNG stream seed for one stage's data sampling and batch schedule:
@@ -115,13 +116,18 @@ pub struct MultiStage {
     models: Vec<(StageId, TextCnn)>,
 }
 
+/// One stage's training task: its stage, its RNG right after planning,
+/// and its planned `(row, stage label)` samples.
+type StageTask = (StageId, StdRng, Vec<(u32, u16)>);
+
 /// The one stage-training loop behind [`MultiStage::train`] and
 /// [`MultiStage::train_streamed`]: six concurrent stage workers over
 /// a labeled-row pool given as class bytes (pool order, see
-/// [`crate::dataset::labeled_rows`]). Each worker derives its
-/// stage-seeded RNG, plans its samples ([`plan_stage_samples`]), has
-/// `rows` turn the plan into a [`SampleSource`] — embedded in memory or
-/// read from shards — and trains it epoch by epoch. With `ckpt`
+/// [`crate::dataset::labeled_rows`]). Each stage derives its
+/// stage-seeded RNG and plans its samples ([`plan_stage_samples`]);
+/// the workers then take the stages largest plan first, have `rows`
+/// turn each plan into a [`SampleSource`] — embedded in memory or read
+/// from shards — and train it epoch by epoch. With `ckpt`
 /// (directory, run identity, options), the run resumes from and
 /// checkpoints to it; without, it runs every epoch and touches no
 /// disk. Returns `Ok(None)` when `opts.stop_after_epoch` paused the
@@ -138,12 +144,13 @@ fn train_stages<S: SampleSource>(
         .and_then(|(_, _, opts)| opts.stop_after_epoch)
         .unwrap_or(config.epochs)
         .min(config.epochs);
-    let trained: Vec<Result<(StageId, TextCnn, String), StreamError>> = StageId::ALL
-        .par_iter()
-        .with_max_len(1)
+    // Plan every stage up front: a plan's length is the stage's
+    // training cost, so the largest stages go to the workers first and
+    // the small ones fill in behind them. Each plan sits in a slot its
+    // worker takes it from, so no plan is copied.
+    let planned: Vec<StageTask> = StageId::ALL
+        .iter()
         .map(|&stage| {
-            let t0 = Instant::now();
-            let stage_name = stage.to_string();
             let mut rng = StdRng::seed_from_u64(stage_seed(config.seed, stage));
             let plan = plan_stage_samples(
                 classes,
@@ -153,66 +160,88 @@ fn train_stages<S: SampleSource>(
                 &mut rng,
                 obs,
             );
-            let samples = plan.len();
-            obs.event(&Event::Counter {
-                name: "train.samples",
-                delta: samples as u64,
-            });
-            let data = rows(plan);
-            let cnn_cfg = TextCnnConfig {
-                seq_len: cati_analysis::VUC_LEN,
-                embed_dim,
-                conv1: config.conv1,
-                conv2: config.conv2,
-                fc: config.fc,
-                classes: stage.num_classes(),
-            };
-            let mut model = TextCnn::new(cnn_cfg, config.seed ^ stage as u64);
-            let mut opt = Adam::new(config.lr);
-            let mut start_epoch = 0usize;
-            if let Some((dir, identity, opts)) = ckpt {
-                if opts.resume {
-                    if let Some(saved) = dir.load_stage(stage, cnn_cfg, identity)? {
-                        start_epoch = saved.epoch;
-                        model = saved.model;
-                        opt = saved.opt;
-                        rng = saved.rng;
-                    }
-                }
-            }
-            let mut last_loss = f32::NAN;
-            let mut hook = EpochHook {
-                obs,
-                stage: &stage_name,
-                epoch: 0,
-            };
-            for epoch in start_epoch..stop {
-                hook.epoch = epoch;
-                last_loss =
-                    model.train_epoch_hooked(&data, &mut opt, config.batch, &mut rng, &mut hook);
-                if let Some((dir, identity, opts)) = ckpt {
-                    dir.save_stage(stage, epoch + 1, &model, &opt, &rng, identity)?;
-                    if opts.epoch_sleep_ms > 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(opts.epoch_sleep_ms));
-                    }
-                }
-            }
-            // Fixed span path regardless of which thread trained the
-            // stage (workers have their own span stacks).
-            obs.event(&Event::SpanClose {
-                path: &format!("train.{stage_name}"),
-                nanos: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                // Synthetic span, not guard-managed: no allocation
-                // attribution.
-                alloc_bytes: 0,
-                alloc_count: 0,
-            });
-            let line = format!("{stage}: {samples} samples, final loss {last_loss:.4}");
-            Ok((stage, model, line))
+            (stage, rng, plan)
         })
         .collect();
+    let mut order: Vec<usize> = (0..planned.len()).collect();
+    order.sort_by_key(|&k| std::cmp::Reverse(planned[k].2.len()));
+    let slots: Vec<Mutex<Option<StageTask>>> = planned
+        .into_iter()
+        .map(|task| Mutex::new(Some(task)))
+        .collect();
+    let train = |k: usize| -> Result<(StageId, TextCnn, String), StreamError> {
+        let t0 = Instant::now();
+        let (stage, mut rng, plan) = slots[k]
+            .lock()
+            .expect("stage slot lock")
+            .take()
+            .expect("each stage is trained once");
+        let stage_name = stage.to_string();
+        let samples = plan.len();
+        obs.event(&Event::Counter {
+            name: "train.samples",
+            delta: samples as u64,
+        });
+        let data = rows(plan);
+        let cnn_cfg = TextCnnConfig {
+            seq_len: cati_analysis::VUC_LEN,
+            embed_dim,
+            conv1: config.conv1,
+            conv2: config.conv2,
+            fc: config.fc,
+            classes: stage.num_classes(),
+        };
+        let mut model = TextCnn::new(cnn_cfg, config.seed ^ stage as u64);
+        let mut opt = Adam::new(config.lr);
+        let mut start_epoch = 0usize;
+        if let Some((dir, identity, opts)) = ckpt {
+            if opts.resume {
+                if let Some(saved) = dir.load_stage(stage, cnn_cfg, identity)? {
+                    start_epoch = saved.epoch;
+                    model = saved.model;
+                    opt = saved.opt;
+                    rng = saved.rng;
+                }
+            }
+        }
+        let mut last_loss = f32::NAN;
+        let mut hook = EpochHook {
+            obs,
+            stage: &stage_name,
+            epoch: 0,
+        };
+        for epoch in start_epoch..stop {
+            hook.epoch = epoch;
+            last_loss =
+                model.train_epoch_hooked(&data, &mut opt, config.batch, &mut rng, &mut hook);
+            if let Some((dir, identity, opts)) = ckpt {
+                dir.save_stage(stage, epoch + 1, &model, &opt, &rng, identity)?;
+                if opts.epoch_sleep_ms > 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(opts.epoch_sleep_ms));
+                }
+            }
+        }
+        // Fixed span path regardless of which thread trained the
+        // stage (workers have their own span stacks).
+        obs.event(&Event::SpanClose {
+            path: &format!("train.{stage_name}"),
+            nanos: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            // Synthetic span, not guard-managed: no allocation
+            // attribution.
+            alloc_bytes: 0,
+            alloc_count: 0,
+        });
+        let line = format!("{stage}: {samples} samples, final loss {last_loss:.4}");
+        Ok((stage, model, line))
+    };
+    let mut trained: Vec<_> = order
+        .par_iter()
+        .with_max_len(1)
+        .map(|&k| (k, train(k)))
+        .collect();
+    trained.sort_by_key(|&(k, _)| k);
     let mut models = Vec::with_capacity(trained.len());
-    for result in trained {
+    for (_, result) in trained {
         let (stage, model, line) = result?;
         obs.event(&Event::Message {
             level: Level::Info,
@@ -237,8 +266,8 @@ impl MultiStage {
     /// data sampling and batch schedule never depend on how much
     /// randomness earlier stages consumed. That independence is what
     /// lets the six stages train concurrently — each stage is its own
-    /// parallel task, and the workers split the six tasks into
-    /// contiguous runs — while staying bit-identical to sequential
+    /// parallel task, and the workers take the tasks largest first —
+    /// while staying bit-identical to sequential
     /// training and to any other thread count. Observers only read the
     /// computation, so the trained models are identical whatever
     /// observer is installed.

@@ -102,15 +102,47 @@ fn extract_training_set(train: &[BuiltBinary], config: &Config, obs: &dyn Observ
     dataset
 }
 
-/// The front half of training, step two: Word2Vec over the binaries'
-/// generalized function streams, sentences sampled from the master
-/// seed (the `embed` span).
-fn train_embedder(train: &[BuiltBinary], config: &Config, obs: &dyn Observer) -> VucEmbedder {
-    let _span = SpanGuard::enter(obs, "embed");
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let sentences = embedding_sentences(train, config.max_sentences, &mut rng);
-    cati_obs::info!(obs, "training Word2Vec on {} sentences", sentences.len());
-    VucEmbedder::new(Word2Vec::train_observed(&sentences, config.w2v, obs))
+/// The front half of training: [`extract_training_set`] and Word2Vec
+/// over the binaries' generalized function streams, sentences sampled
+/// from the master seed (the `embed` spans). The two share no state.
+/// With one thread they run one after the other. With more, they
+/// overlap: Word2Vec's sentences are built on every thread, then a
+/// scoped thread runs its SGD — serial by nature — while the calling
+/// thread extracts on the remaining threads. Either way the outputs are
+/// those of the two steps run alone. (The SGD's `embed` span then opens
+/// on the scoped thread, so it nests under no span of the caller's.)
+fn extract_and_embed(
+    train: &[BuiltBinary],
+    config: &Config,
+    obs: &dyn Observer,
+) -> (Dataset, VucEmbedder) {
+    let sentences = {
+        let _span = SpanGuard::enter(obs, "embed");
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        embedding_sentences(train, config.max_sentences, &mut rng)
+    };
+    let word2vec = || {
+        let _span = SpanGuard::enter(obs, "embed");
+        cati_obs::info!(obs, "training Word2Vec on {} sentences", sentences.len());
+        VucEmbedder::new(Word2Vec::train_observed(&sentences, config.w2v, obs))
+    };
+    let threads = rayon::current_num_threads();
+    if threads == 1 {
+        return (extract_training_set(train, config, obs), word2vec());
+    }
+    std::thread::scope(|scope| {
+        let embedding = scope.spawn(word2vec);
+        let dataset = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads - 1)
+            .build()
+            .expect("thread pool")
+            .install(|| extract_training_set(train, config, obs));
+        let embedder = match embedding.join() {
+            Ok(embedder) => embedder,
+            Err(panic) => std::panic::resume_unwind(panic),
+        };
+        (dataset, embedder)
+    })
 }
 
 impl Cati {
@@ -123,8 +155,7 @@ impl Cati {
     /// wanted; the trained system is bit-identical either way.
     pub fn train(train: &[BuiltBinary], config: &Config, obs: &dyn Observer) -> Cati {
         config.with_threads(|| {
-            let dataset = extract_training_set(train, config, obs);
-            let embedder = train_embedder(train, config, obs);
+            let (dataset, embedder) = extract_and_embed(train, config, obs);
             let stages = MultiStage::train(&dataset, &embedder, config, obs);
             Cati {
                 config: *config,
@@ -190,8 +221,7 @@ impl Cati {
                     Err(e) => return Err(e.into()),
                 },
                 None => {
-                    let dataset = extract_training_set(train, config, obs);
-                    let embedder = train_embedder(train, config, obs);
+                    let (dataset, embedder) = extract_and_embed(train, config, obs);
                     ckpt.save_embedder(&embedder)?;
                     let rows = {
                         let _span = SpanGuard::enter(obs, "shard");

@@ -37,6 +37,7 @@
 use crate::artifact_cache::{open_envelope, seal_envelope};
 use cati_analysis::{digest_bytes, Digest, Fnv128};
 use cati_nn::SampleSource;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fs::File;
@@ -152,19 +153,47 @@ impl ShardError {
 /// `cols` floats are `rows[i*cols..(i+1)*cols]`. Pure — the same
 /// inputs always produce the same bytes.
 pub fn encode_shard(cols: usize, labels: &[u8], rows: &[f32]) -> Vec<u8> {
-    debug_assert_eq!(rows.len(), labels.len() * cols, "row data shape");
     let mut out = Vec::with_capacity(HEADER_LEN + labels.len() + rows.len() * 4 + TRAILER_LEN);
-    out.extend_from_slice(&SHARD_MAGIC);
-    out.extend_from_slice(&SHARD_VERSION.to_le_bytes());
-    out.extend_from_slice(&(labels.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(cols as u32).to_le_bytes());
-    out.extend_from_slice(labels);
-    for v in rows {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    let digest = digest_bytes(&out);
-    out.extend_from_slice(&digest.0.to_le_bytes());
+    let Ok(_) = stream_shard(cols, labels, rows, |bytes| {
+        out.extend_from_slice(bytes);
+        Ok::<(), std::convert::Infallible>(())
+    });
     out
+}
+
+/// The one shard encoder: hands the encoding of [`encode_shard`] to
+/// `put` piece by piece, digesting as it goes, and returns the digest.
+/// The floats pass through a fixed 64 KiB chunk, so a file writer
+/// never holds a shard's encoded bytes whole.
+fn stream_shard<E>(
+    cols: usize,
+    labels: &[u8],
+    rows: &[f32],
+    mut put: impl FnMut(&[u8]) -> Result<(), E>,
+) -> Result<Digest, E> {
+    debug_assert_eq!(rows.len(), labels.len() * cols, "row data shape");
+    let mut hasher = Fnv128::new();
+    let mut head = [0u8; HEADER_LEN];
+    head[..8].copy_from_slice(&SHARD_MAGIC);
+    head[8..12].copy_from_slice(&SHARD_VERSION.to_le_bytes());
+    head[12..16].copy_from_slice(&(labels.len() as u32).to_le_bytes());
+    head[16..20].copy_from_slice(&(cols as u32).to_le_bytes());
+    let mut chunk = vec![0u8; 64 * 1024];
+    for piece in [&head[..], labels] {
+        hasher.update(piece);
+        put(piece)?;
+    }
+    for block in rows.chunks(chunk.len() / 4) {
+        let bytes = &mut chunk[..block.len() * 4];
+        for (b, v) in bytes.chunks_exact_mut(4).zip(block) {
+            b.copy_from_slice(&v.to_le_bytes());
+        }
+        hasher.update(bytes);
+        put(bytes)?;
+    }
+    let digest = hasher.finish();
+    put(&digest.0.to_le_bytes())?;
+    Ok(digest)
 }
 
 /// Parses and fully verifies one in-memory shard, returning
@@ -328,26 +357,33 @@ impl ShardWriter {
         self.shards.iter().map(|s| s.rows).sum::<usize>() + self.labels.len()
     }
 
-    /// Writes the buffered rows as the next shard file (atomic
-    /// tmp + rename).
+    /// Writes the buffered rows as the next shard file.
     fn flush(&mut self) -> Result<(), ShardError> {
         if self.labels.is_empty() {
             return Ok(());
         }
-        let bytes = encode_shard(self.cols, &self.labels, &self.data);
-        let file = format!("shard_{:05}.cshard", self.shards.len());
-        let path = self.dir.join(&file);
-        crate::model_io::save_bytes_atomic(&bytes, &path).map_err(|e| ShardError::io(&path, e))?;
-        // The trailer is the digest of everything before it.
-        let mut trailer = [0u8; TRAILER_LEN];
-        trailer.copy_from_slice(&bytes[bytes.len() - TRAILER_LEN..]);
-        self.shards.push(ShardEntry {
-            file,
-            rows: self.labels.len(),
-            digest: Digest(u128::from_le_bytes(trailer)).to_string(),
-        });
+        let entry = write_shard_file(
+            &self.dir,
+            self.shards.len(),
+            self.cols,
+            &self.labels,
+            &self.data,
+        )?;
+        self.shards.push(entry);
         self.labels.clear();
         self.data.clear();
+        Ok(())
+    }
+
+    /// Writes one whole shard (`labels.len()` rows, `data` their
+    /// floats) as the next shard file, bypassing the row buffer — the
+    /// bulk writer's path. Shard boundaries are the caller's, so the
+    /// caller cuts at `rows_per_shard` exactly as [`ShardWriter::push`]
+    /// would.
+    fn write_shard(&mut self, labels: &[u8], data: &[f32]) -> Result<(), ShardError> {
+        debug_assert!(self.labels.is_empty(), "no pushed rows pending");
+        let entry = write_shard_file(&self.dir, self.shards.len(), self.cols, labels, data)?;
+        self.shards.push(entry);
         Ok(())
     }
 
@@ -378,21 +414,55 @@ impl ShardWriter {
     }
 }
 
+/// Encodes shard number `index` straight into its file under `dir`
+/// (atomic tmp + rename), returning its manifest entry.
+fn write_shard_file(
+    dir: &Path,
+    index: usize,
+    cols: usize,
+    labels: &[u8],
+    data: &[f32],
+) -> Result<ShardEntry, ShardError> {
+    use std::io::Write;
+    let file = format!("shard_{index:05}.cshard");
+    let path = dir.join(&file);
+    let tmp = dir.join(format!("{file}.tmp"));
+    let io = |e| ShardError::io(&path, e);
+    let mut out = File::create(&tmp).map_err(io)?;
+    let digest = stream_shard(cols, labels, data, |bytes| out.write_all(bytes)).map_err(io)?;
+    drop(out);
+    std::fs::rename(&tmp, &path).map_err(io)?;
+    Ok(ShardEntry {
+        file,
+        rows: labels.len(),
+        digest: digest.to_string(),
+    })
+}
+
 /// Streams a dataset's labeled VUCs into a shard set under `dir`: one
 /// row per [`labeled_rows`] entry, in pool order, labeled with the
 /// class's [`TypeClass::index`] byte and embedded with `embedder` —
 /// the identical `(class sequence, floats)` in-memory training embeds
-/// from, which is what makes streamed training bit-identical. Rows
-/// are embedded in parallel in bounded chunks and flushed
-/// shard-by-shard, so peak memory never scales with the corpus.
-/// Returns the total row count.
+/// from, which is what makes streamed training bit-identical. The
+/// files are byte-identical to pushing the same rows through
+/// [`ShardWriter::push`]. Returns the total row count.
+///
+/// Each shard's rows are embedded into one reused flat buffer
+/// ([`embed_windows_into`]), so peak memory never scales with the
+/// corpus. With more than one thread the work is pipelined: a scoped
+/// writer thread encodes, digests and writes shard `k` while the
+/// other threads embed shard `k + 1`, two buffers passing back and
+/// forth between them. With one thread, embedding and writing
+/// alternate on the caller's thread.
 ///
 /// [`TypeClass::index`]: cati_dwarf::TypeClass::index
 /// [`labeled_rows`]: crate::dataset::labeled_rows
+/// [`embed_windows_into`]: crate::dataset::embed_windows_into
 ///
 /// # Errors
 ///
-/// Propagates shard-layer write failures.
+/// Propagates shard-layer write failures, including the writer
+/// thread's.
 pub fn write_dataset_shards(
     dataset: &crate::dataset::Dataset,
     embedder: &cati_embedding::VucEmbedder,
@@ -400,21 +470,65 @@ pub fn write_dataset_shards(
     rows_per_shard: usize,
     obs: &dyn cati_obs::Observer,
 ) -> Result<usize, ShardError> {
-    use rayon::prelude::*;
+    use crate::dataset::embed_windows_into;
+    use std::sync::mpsc;
     let cols = embedder.embed_dim() * cati_analysis::VUC_LEN;
     let mut writer = ShardWriter::create(dir, cols, rows_per_shard)?;
     let (windows, classes) = crate::dataset::labeled_rows(dataset);
-    // Embed in parallel a bounded chunk at a time; push serially so
-    // shard contents stay in pool order.
-    const CHUNK: usize = 1024;
-    for (windows, classes) in windows.chunks(CHUNK).zip(classes.chunks(CHUNK)) {
-        let rows: Vec<Vec<f32>> = windows
-            .par_iter()
-            .map(|w| embedder.embed_window(w))
-            .collect();
-        for (&class, row) in classes.iter().zip(&rows) {
-            writer.push(class, row)?;
+    let per_shard = writer.rows_per_shard;
+    let shard_labels = |k: usize| &classes[k * per_shard..classes.len().min((k + 1) * per_shard)];
+    let embed = |k: usize, buf: &mut Vec<f32>| {
+        let windows = &windows[k * per_shard..windows.len().min((k + 1) * per_shard)];
+        buf.resize(windows.len() * cols, 0.0);
+        embed_windows_into(windows, embedder, cols, buf);
+    };
+    let shards = classes.len().div_ceil(per_shard);
+    let threads = rayon::current_num_threads();
+    if threads == 1 {
+        let mut buf = Vec::new();
+        for k in 0..shards {
+            embed(k, &mut buf);
+            writer.write_shard(shard_labels(k), &buf)?;
         }
+    } else {
+        let embed_pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads - 1)
+            .build()
+            .map_err(|e| ShardError::Inconsistent {
+                path: dir.to_path_buf(),
+                detail: format!("embedding pool: {e}"),
+            })?;
+        writer = std::thread::scope(|scope| {
+            // Filled buffers go to the writer with their shard number;
+            // written ones come back to be refilled.
+            let (full_tx, full_rx) = mpsc::channel::<(usize, Vec<f32>)>();
+            let (free_tx, free_rx) = mpsc::channel::<Vec<f32>>();
+            let handle = scope.spawn(move || -> Result<ShardWriter, ShardError> {
+                for (k, buf) in full_rx {
+                    writer.write_shard(shard_labels(k), &buf)?;
+                    // The embedder may have stopped taking buffers.
+                    let _ = free_tx.send(buf);
+                }
+                Ok(writer)
+            });
+            let mut ping_pong = vec![Vec::new(), Vec::new()];
+            for k in 0..shards {
+                // A closed channel means the writer failed; its join
+                // below reports why.
+                let Some(mut buf) = ping_pong.pop().or_else(|| free_rx.recv().ok()) else {
+                    break;
+                };
+                embed_pool.install(|| embed(k, &mut buf));
+                if full_tx.send((k, buf)).is_err() {
+                    break;
+                }
+            }
+            drop(full_tx);
+            match handle.join() {
+                Ok(result) => result,
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        })?;
     }
     let fingerprint = crate::artifact_cache::embedder_fingerprint(embedder).to_string();
     let total = writer.finish(&fingerprint)?;
@@ -453,8 +567,10 @@ pub struct ShardSet {
 impl ShardSet {
     /// Opens and fully verifies the shard set in `dir`: the manifest
     /// envelope, then every listed shard — framing, digest, and
-    /// manifest agreement. Fails with a typed [`ShardError`] on the
-    /// first problem; a set that opens is safe to train from.
+    /// manifest agreement — one parallel task per shard. Fails with a
+    /// typed [`ShardError`] for the first bad shard in manifest order,
+    /// whatever the thread count; a set that opens is safe to train
+    /// from.
     pub fn open(dir: &Path) -> Result<ShardSet, ShardError> {
         let mpath = dir.join(SHARD_MANIFEST);
         let sealed = std::fs::read(&mpath).map_err(|e| ShardError::io(&mpath, e))?;
@@ -477,12 +593,22 @@ impl ShardSet {
             });
         }
         let identity = digest_bytes(payload);
-        let mut shards = Vec::with_capacity(manifest.shards.len());
-        let mut labels = Vec::new();
-        let mut starts = Vec::with_capacity(manifest.shards.len());
-        for entry in &manifest.shards {
+        // One verification task per shard; results come back in
+        // manifest order, so the first error reported is the first bad
+        // shard listed, whichever task finished first.
+        let opened: Vec<Result<(OpenShard, Vec<u8>), ShardError>> = manifest
+            .shards
+            .par_iter()
+            .with_max_len(1)
+            .map(|entry| open_one(dir, entry, manifest.cols))
+            .collect();
+        let mut shards = Vec::with_capacity(opened.len());
+        let mut labels = Vec::with_capacity(manifest.shards.iter().map(|e| e.rows).sum());
+        let mut starts = Vec::with_capacity(opened.len());
+        for result in opened {
+            let (shard, shard_labels) = result?;
             starts.push(labels.len());
-            let shard = open_one(dir, entry, manifest.cols, &mut labels)?;
+            labels.extend_from_slice(&shard_labels);
             shards.push(shard);
         }
         Ok(ShardSet {
@@ -550,14 +676,13 @@ impl ShardSet {
     }
 }
 
-/// Opens one shard file, streaming it once to verify the digest and
-/// collect its label bytes into `labels`.
+/// Opens one shard file, streaming it once to verify the digest, and
+/// returns it with its label bytes.
 fn open_one(
     dir: &Path,
     entry: &ShardEntry,
     cols: usize,
-    labels: &mut Vec<u8>,
-) -> Result<OpenShard, ShardError> {
+) -> Result<(OpenShard, Vec<u8>), ShardError> {
     let path = dir.join(&entry.file);
     let mut file = File::open(&path).map_err(|e| ShardError::io(&path, e))?;
     let file_len = file.metadata().map_err(|e| ShardError::io(&path, e))?.len() as usize;
@@ -580,12 +705,11 @@ fn open_one(
     // keep only the label bytes.
     let mut hasher = Fnv128::new();
     hasher.update(&head);
-    let label_start = labels.len();
-    labels.resize(label_start + rows, 0);
-    file.read_exact(&mut labels[label_start..])
+    let mut labels = vec![0u8; rows];
+    file.read_exact(&mut labels)
         .map_err(|e| ShardError::io(&path, e))?;
-    hasher.update(&labels[label_start..]);
-    if let Some(bad) = labels[label_start..]
+    hasher.update(&labels);
+    if let Some(bad) = labels
         .iter()
         .find(|&&c| usize::from(c) >= cati_dwarf::TypeClass::ALL.len())
     {
@@ -616,12 +740,13 @@ fn open_one(
             detail: "file digest disagrees with the manifest".to_string(),
         });
     }
-    Ok(OpenShard {
+    let shard = OpenShard {
         file,
         path,
         rows,
         data_off: (HEADER_LEN + rows) as u64,
-    })
+    };
+    Ok((shard, labels))
 }
 
 /// Positioned read of `out.len()` floats at byte `off` (thread-safe:
@@ -868,6 +993,144 @@ mod tests {
             Err(ShardError::DigestMismatch { .. }) => {}
             other => panic!("expected DigestMismatch, got {other:?}"),
         }
+    }
+
+    /// A labeled dataset of a few hundred rows and a Word2Vec
+    /// embedder trained on the same binaries.
+    fn small_dataset() -> (crate::dataset::Dataset, cati_embedding::VucEmbedder) {
+        use cati_embedding::{VucEmbedder, W2vConfig, Word2Vec};
+        use rand::SeedableRng;
+        let corpus = cati_synbin::build_corpus(&cati_synbin::CorpusConfig::small(21));
+        let train = &corpus.train[..3];
+        let dataset =
+            crate::dataset::Dataset::from_binaries(train, cati_analysis::FeatureView::WithSymbols);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        let sentences = crate::dataset::embedding_sentences(train, 200, &mut rng);
+        let embedder = VucEmbedder::new(Word2Vec::train(&sentences, W2vConfig::tiny()));
+        (dataset, embedder)
+    }
+
+    /// Every file of a shard directory, by name.
+    fn dir_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .expect("read shard dir")
+            .map(|e| {
+                let e = e.expect("dir entry");
+                let name = e.file_name().to_string_lossy().into_owned();
+                (name, std::fs::read(e.path()).expect("read shard file"))
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// The pipelined bulk writer writes exactly the files — every
+    /// `.cshard` and `shards.json` — that pushing the same rows one by
+    /// one through [`ShardWriter::push`] writes, for shard sizes of one
+    /// row, an odd size and the default, at one, two and four threads.
+    #[test]
+    fn bulk_writer_matches_serial_push_byte_for_byte() {
+        let (dataset, embedder) = small_dataset();
+        let (windows, classes) = crate::dataset::labeled_rows(&dataset);
+        assert!(classes.len() > 100, "{} rows", classes.len());
+        let cols = embedder.embed_dim() * cati_analysis::VUC_LEN;
+        let fingerprint = crate::artifact_cache::embedder_fingerprint(&embedder).to_string();
+        for rows_per_shard in [1, 7, DEFAULT_ROWS_PER_SHARD] {
+            let reference = tempdir(&format!("push-{rows_per_shard}"));
+            let mut w = ShardWriter::create(&reference, cols, rows_per_shard).expect("create");
+            for (window, &class) in windows.iter().zip(&classes) {
+                w.push(class, &embedder.embed_window(window)).expect("push");
+            }
+            assert_eq!(w.finish(&fingerprint).expect("finish"), classes.len());
+            let want = dir_files(&reference);
+            for threads in [1, 2, 4] {
+                let dir = tempdir(&format!("bulk-{rows_per_shard}-{threads}"));
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .expect("pool");
+                let rows = pool
+                    .install(|| {
+                        write_dataset_shards(
+                            &dataset,
+                            &embedder,
+                            &dir,
+                            rows_per_shard,
+                            &cati_obs::NOOP,
+                        )
+                    })
+                    .expect("bulk write");
+                assert_eq!(rows, classes.len());
+                let got = dir_files(&dir);
+                assert_eq!(
+                    got.iter().map(|(n, _)| n).collect::<Vec<_>>(),
+                    want.iter().map(|(n, _)| n).collect::<Vec<_>>(),
+                    "file names, {rows_per_shard} rows per shard, {threads} threads"
+                );
+                assert!(
+                    got == want,
+                    "file bytes differ, {rows_per_shard} rows per shard, {threads} threads"
+                );
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+            let _ = std::fs::remove_dir_all(&reference);
+        }
+    }
+
+    /// A failed write on the writer side — here a directory squatting
+    /// at the second shard's path — comes back as a typed I/O error,
+    /// with no panic and no hang, whether or not the writes are
+    /// pipelined.
+    #[test]
+    fn bulk_writer_reports_a_write_failure() {
+        let (dataset, embedder) = small_dataset();
+        for threads in [1, 2, 4] {
+            let dir = tempdir(&format!("squat-{threads}"));
+            let squat = dir.join("shard_00001.cshard");
+            std::fs::create_dir_all(squat.join("occupied")).unwrap();
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool");
+            let result = pool
+                .install(|| write_dataset_shards(&dataset, &embedder, &dir, 16, &cati_obs::NOOP));
+            match result {
+                Err(ShardError::Io { path, .. }) => assert_eq!(path, squat, "{threads} threads"),
+                other => panic!("expected an Io error at {threads} threads, got {other:?}"),
+            }
+            assert!(
+                !dir.join(SHARD_MANIFEST).exists(),
+                "a failed set is never sealed"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// With several bad shards, open reports the first one the manifest
+    /// lists, however many threads verify them.
+    #[test]
+    fn open_reports_the_first_bad_shard_in_manifest_order() {
+        let dir = tempdir("two-bad");
+        roundtrip_set(&dir, 4, 40, 3);
+        for bad in ["shard_00003.cshard", "shard_00007.cshard"] {
+            let path = dir.join(bad);
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[HEADER_LEN + 4 + 5] ^= 1;
+            std::fs::write(&path, bytes).unwrap();
+        }
+        for threads in [1, 4] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool");
+            match pool.install(|| ShardSet::open(&dir)) {
+                Err(ShardError::DigestMismatch { path }) => {
+                    assert_eq!(path, dir.join("shard_00003.cshard"), "{threads} threads")
+                }
+                other => panic!("expected DigestMismatch at {threads} threads, got {other:?}"),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn tempdir(tag: &str) -> PathBuf {

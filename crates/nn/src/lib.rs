@@ -58,4 +58,4 @@ pub use model::{
 };
 pub use optim::{Adam, GradBuffers, Sgd};
 pub use param::ParamBuf;
-pub use tensor::{argmax, Rows, Tensor};
+pub use tensor::{argmax, fill_rows, Rows, Tensor};

@@ -130,32 +130,7 @@ impl Tensor {
             return Tensor { rows, cols, data };
         }
         let mut out = Tensor::zeros(rows, cols);
-        // Split the flat block into one contiguous row-range per
-        // worker and fill the ranges on scoped threads: safe disjoint
-        // mutation without any unsafe or per-row allocation.
-        let per_worker = rows.div_ceil(workers);
-        let mut blocks: Vec<(usize, &mut [f32])> = Vec::with_capacity(workers);
-        let mut rest: &mut [f32] = &mut out.data;
-        let mut start = 0usize;
-        while start < rows {
-            let take = per_worker.min(rows - start);
-            let (head, tail) = rest.split_at_mut(take * cols);
-            blocks.push((start, head));
-            rest = tail;
-            start += take;
-        }
-        std::thread::scope(|s| {
-            for (first, block) in blocks {
-                let init = &init;
-                let fill = &fill;
-                s.spawn(move || {
-                    let mut state = init();
-                    for (j, row) in block.chunks_mut(cols).enumerate() {
-                        fill(&mut state, first + j, row);
-                    }
-                });
-            }
-        });
+        fill_rows(&mut out.data, cols, init, fill);
         out
     }
 
@@ -307,6 +282,50 @@ impl Deserialize for Tensor {
         }
         Ok(Tensor { rows, cols, data })
     }
+}
+
+/// Fills the rows of a flat row-major block in place: `fill(state, i,
+/// row)` writes row `i` (`cols` floats) of `data`, data-parallel across
+/// the ambient rayon thread count, with one `init()` state per worker
+/// (see [`Tensor::build_rows`]). Each worker fills one contiguous
+/// row range, a disjoint mutable split of `data`, so the block is
+/// bit-identical for any thread count. Callers refilling a reused
+/// buffer (the shard writer) get no allocation per call.
+///
+/// # Panics
+///
+/// Panics if `data` is not a whole number of `cols`-float rows.
+pub fn fill_rows<S>(
+    data: &mut [f32],
+    cols: usize,
+    init: impl Fn() -> S + Sync,
+    fill: impl Fn(&mut S, usize, &mut [f32]) + Sync,
+) {
+    if data.is_empty() || cols == 0 {
+        return;
+    }
+    assert_eq!(data.len() % cols, 0, "block of whole {cols}-float rows");
+    let rows = data.len() / cols;
+    let workers = rayon::current_num_threads().clamp(1, rows);
+    if workers == 1 {
+        let mut state = init();
+        for (i, row) in data.chunks_mut(cols).enumerate() {
+            fill(&mut state, i, row);
+        }
+        return;
+    }
+    let per_worker = rows.div_ceil(workers);
+    std::thread::scope(|s| {
+        for (w, block) in data.chunks_mut(per_worker * cols).enumerate() {
+            let (init, fill) = (&init, &fill);
+            s.spawn(move || {
+                let mut state = init();
+                for (j, row) in block.chunks_mut(cols).enumerate() {
+                    fill(&mut state, w * per_worker + j, row);
+                }
+            });
+        }
+    });
 }
 
 /// Anything that presents uniform-width `f32` rows to a batched
