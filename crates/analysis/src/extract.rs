@@ -380,7 +380,10 @@ fn extract_core(
             insn_var[i] = Some(vid);
         }
 
-        // Second pass: cut VUC windows.
+        // Second pass: cut VUC windows. Neighbouring VUCs share most
+        // of their slots, so each instruction is generalized once, on
+        // first use.
+        let mut generalized: Vec<Option<GenInsn>> = vec![None; body.len()];
         for (i, _located) in body.iter().enumerate() {
             let Some(vid) = insn_var[i] else { continue };
             // In labeled mode, skip variables the paper excludes
@@ -405,11 +408,11 @@ fn extract_core(
                         context_classes.push(None);
                     }
                     Slot::Local(j) => {
-                        let gen = match view {
+                        let gen = generalized[j].get_or_insert_with(|| match view {
                             FeatureView::WithSymbols => generalize(&body[j].insn, binary),
                             FeatureView::Stripped => generalize(&body[j].insn, &NoSymbols),
-                        };
-                        window.push(gen);
+                        });
+                        window.push(gen.clone());
                         context_classes.push(insn_var[j].and_then(|v| vars[v as usize].class));
                     }
                     spliced @ Slot::Spliced { .. } => {
@@ -997,6 +1000,37 @@ mod tests {
                 assert_eq!(default, explicit);
             }
         }
+    }
+
+    /// Extraction content is pinned: the serialized extractions of a
+    /// fixed set of binaries digest to the values the code produced
+    /// before window cutting memoised `generalize` per function.
+    #[test]
+    fn extraction_content_matches_pinned_digests() {
+        let bins: Vec<Binary> = [OptLevel::O0, OptLevel::O1, OptLevel::O2, OptLevel::O3]
+            .into_iter()
+            .flat_map(|opt| (0..3).map(move |seed| sample_binary(opt, 60 + seed)))
+            .collect();
+        let mut got = Vec::new();
+        for mode in [ContextMode::FunctionLocal, ContextMode::Interprocedural] {
+            for view in [FeatureView::WithSymbols, FeatureView::Stripped] {
+                let mut hasher = crate::Fnv128::new();
+                for bin in &bins {
+                    let ex = extract_mode(bin, view, mode).unwrap();
+                    hasher.update(&serde_json::to_vec(&ex).unwrap());
+                }
+                got.push(hasher.finish().to_string());
+            }
+        }
+        assert_eq!(
+            got,
+            [
+                "132c18d2cf558cb87982827b28f15b48",
+                "57a074198c4e8d5c7ef4fab4f6d46a9a",
+                "ff0e9350f2f3ce73eb1ed373a2803e97",
+                "0bd165efed15dd5310b893c3e7b1a423",
+            ]
+        );
     }
 
     #[test]

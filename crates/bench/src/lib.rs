@@ -1,10 +1,9 @@
-//! `cati-bench` — experiment regenerators and benchmarks.
+//! `cati-bench` — experiment regenerators.
 //!
 //! One binary per table/figure of the paper's evaluation (see
-//! DESIGN.md §4 for the index) plus criterion benchmarks. All
-//! experiment binaries accept `--scale small|medium|paper` and share
-//! a cached trained model per `(scale, seed, compiler)` under
-//! `target/cati-cache/`.
+//! DESIGN.md §4 for the index). All experiment binaries accept
+//! `--scale small|medium|paper` and share a cached trained model per
+//! `(scale, seed, compiler)` under `target/cati-cache/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

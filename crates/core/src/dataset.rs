@@ -148,8 +148,7 @@ pub fn embedding_sentences(
             for (start, end) in funcs {
                 let mut sent = Vec::with_capacity((end - start) * 3);
                 for located in &insns[start..end] {
-                    let g = generalize(&located.insn, &b.binary);
-                    sent.extend(g.iter().map(str::to_string));
+                    sent.extend(generalize(&located.insn, &b.binary).tokens);
                 }
                 out.push(sent);
             }

@@ -176,9 +176,11 @@ impl Cati {
     /// after an interruption — even a hard kill mid-epoch — finishes
     /// byte-identical to an uninterrupted one.
     ///
-    /// With `opts.resume`, completed phases are loaded instead of
-    /// recomputed: the persisted embedder skips extraction + Word2Vec,
-    /// a sealed shard set is re-verified and reused (an unsealed one —
+    /// A shard set this call writes is trained from as sealed, without
+    /// re-reading it ([`crate::ShardWriter::seal`]). With `opts.resume`,
+    /// completed phases are loaded instead of recomputed: the persisted
+    /// embedder skips extraction + Word2Vec, a sealed shard set found
+    /// on disk is re-verified in full and reused (an unsealed one —
     /// killed mid-write — is rebuilt), and each stage restarts from
     /// its last checkpointed epoch. Returns `Ok(None)` when
     /// `opts.stop_after_epoch` paused the run early; resume later to
@@ -215,20 +217,21 @@ impl Cati {
                         if err.kind() == std::io::ErrorKind::NotFound =>
                     {
                         let dataset = extract_training_set(train, config, obs);
-                        write_dataset_shards(&dataset, &embedder, &shards_dir, 0, obs)?;
-                        (embedder, ShardSet::open(&shards_dir)?)
+                        let shards =
+                            write_dataset_shards(&dataset, &embedder, &shards_dir, 0, obs)?;
+                        (embedder, shards)
                     }
                     Err(e) => return Err(e.into()),
                 },
                 None => {
                     let (dataset, embedder) = extract_and_embed(train, config, obs);
                     ckpt.save_embedder(&embedder)?;
-                    let rows = {
+                    let shards = {
                         let _span = SpanGuard::enter(obs, "shard");
                         write_dataset_shards(&dataset, &embedder, &shards_dir, 0, obs)?
                     };
-                    cati_obs::info!(obs, "streamed {rows} samples into on-disk shards");
-                    (embedder, ShardSet::open(&shards_dir)?)
+                    cati_obs::info!(obs, "streamed {} samples into on-disk shards", shards.len());
+                    (embedder, shards)
                 }
             };
             let fingerprint = crate::artifact_cache::embedder_fingerprint(&embedder).to_string();

@@ -296,8 +296,9 @@ struct ShardManifest {
 /// Streams `(class byte, embedded row)` samples into a directory of
 /// shard files, holding at most one shard's rows in memory. Call
 /// [`ShardWriter::push`] in dataset order, then [`ShardWriter::finish`]
-/// to seal the manifest — a set without a manifest is unreadable, so
-/// an interrupted write never passes for a complete one.
+/// (or [`ShardWriter::seal`]) to seal the manifest — a set without a
+/// manifest is unreadable, so an interrupted write never passes for a
+/// complete one.
 pub struct ShardWriter {
     dir: PathBuf,
     cols: usize,
@@ -305,6 +306,8 @@ pub struct ShardWriter {
     labels: Vec<u8>,
     data: Vec<f32>,
     shards: Vec<ShardEntry>,
+    /// Class bytes of every row already written, shard order.
+    written: Vec<u8>,
 }
 
 impl ShardWriter {
@@ -329,6 +332,7 @@ impl ShardWriter {
             labels: Vec::new(),
             data: Vec::new(),
             shards: Vec::new(),
+            written: Vec::new(),
         })
     }
 
@@ -354,7 +358,7 @@ impl ShardWriter {
 
     /// Total rows pushed so far (flushed or buffered).
     pub fn rows(&self) -> usize {
-        self.shards.iter().map(|s| s.rows).sum::<usize>() + self.labels.len()
+        self.written.len() + self.labels.len()
     }
 
     /// Writes the buffered rows as the next shard file.
@@ -370,7 +374,7 @@ impl ShardWriter {
             &self.data,
         )?;
         self.shards.push(entry);
-        self.labels.clear();
+        self.written.append(&mut self.labels);
         self.data.clear();
         Ok(())
     }
@@ -384,12 +388,23 @@ impl ShardWriter {
         debug_assert!(self.labels.is_empty(), "no pushed rows pending");
         let entry = write_shard_file(&self.dir, self.shards.len(), self.cols, labels, data)?;
         self.shards.push(entry);
+        self.written.extend_from_slice(labels);
         Ok(())
     }
 
     /// Flushes the final partial shard and seals the manifest. Returns
     /// the total row count.
-    pub fn finish(mut self, embedder_fingerprint: &str) -> Result<usize, ShardError> {
+    pub fn finish(self, embedder_fingerprint: &str) -> Result<usize, ShardError> {
+        Ok(self.seal(embedder_fingerprint)?.len())
+    }
+
+    /// [`ShardWriter::finish`], returning the sealed set ready to
+    /// train from: each shard file reopened read-only, with the class
+    /// bytes this writer wrote and the identity of the manifest it
+    /// sealed. The bytes just written are not read back — their
+    /// digests were taken as they streamed out. A set from anywhere
+    /// else goes through [`ShardSet::open`], which verifies in full.
+    pub fn seal(mut self, embedder_fingerprint: &str) -> Result<ShardSet, ShardError> {
         self.flush()?;
         let manifest = ShardManifest {
             format_version: SHARD_VERSION,
@@ -397,7 +412,6 @@ impl ShardWriter {
             embedder_fingerprint: embedder_fingerprint.to_string(),
             shards: std::mem::take(&mut self.shards),
         };
-        let total = manifest.shards.iter().map(|s| s.rows).sum();
         let path = self.dir.join(SHARD_MANIFEST);
         let payload = match serde_json::to_vec(&manifest) {
             Ok(p) => p,
@@ -410,7 +424,29 @@ impl ShardWriter {
         };
         crate::model_io::save_bytes_atomic(&seal_envelope(&payload), &path)
             .map_err(|e| ShardError::io(&path, e))?;
-        Ok(total)
+        let mut shards = Vec::with_capacity(manifest.shards.len());
+        let mut starts = Vec::with_capacity(manifest.shards.len());
+        let mut start = 0;
+        for entry in &manifest.shards {
+            let path = self.dir.join(&entry.file);
+            let file = File::open(&path).map_err(|e| ShardError::io(&path, e))?;
+            starts.push(start);
+            start += entry.rows;
+            shards.push(OpenShard {
+                file,
+                path,
+                rows: entry.rows,
+                data_off: (HEADER_LEN + entry.rows) as u64,
+            });
+        }
+        Ok(ShardSet {
+            cols: self.cols,
+            fingerprint: manifest.embedder_fingerprint,
+            identity: digest_bytes(&payload),
+            shards,
+            labels: self.written,
+            starts,
+        })
     }
 }
 
@@ -445,7 +481,8 @@ fn write_shard_file(
 /// the identical `(class sequence, floats)` in-memory training embeds
 /// from, which is what makes streamed training bit-identical. The
 /// files are byte-identical to pushing the same rows through
-/// [`ShardWriter::push`]. Returns the total row count.
+/// [`ShardWriter::push`]. Returns the sealed set, ready to train from
+/// without re-reading it ([`ShardWriter::seal`]).
 ///
 /// Each shard's rows are embedded into one reused flat buffer
 /// ([`embed_windows_into`]), so peak memory never scales with the
@@ -469,7 +506,7 @@ pub fn write_dataset_shards(
     dir: &Path,
     rows_per_shard: usize,
     obs: &dyn cati_obs::Observer,
-) -> Result<usize, ShardError> {
+) -> Result<ShardSet, ShardError> {
     use crate::dataset::embed_windows_into;
     use std::sync::mpsc;
     let cols = embedder.embed_dim() * cati_analysis::VUC_LEN;
@@ -531,12 +568,12 @@ pub fn write_dataset_shards(
         })?;
     }
     let fingerprint = crate::artifact_cache::embedder_fingerprint(embedder).to_string();
-    let total = writer.finish(&fingerprint)?;
+    let set = writer.seal(&fingerprint)?;
     obs.event(&cati_obs::Event::Counter {
         name: "shards.rows",
-        delta: total as u64,
+        delta: set.len() as u64,
     });
-    Ok(total)
+    Ok(set)
 }
 
 /// One opened, verified shard file.
@@ -550,8 +587,10 @@ struct OpenShard {
 }
 
 /// A verified, readable shard set: every shard's digest checked once
-/// at open (constant memory), all class bytes resident for planning,
-/// f32 rows fetched by positioned read during training.
+/// at open (constant memory) — or, for a set this process just wrote,
+/// taken as the bytes streamed out ([`ShardWriter::seal`]) — all class
+/// bytes resident for planning, f32 rows fetched by positioned read
+/// during training.
 #[derive(Debug)]
 pub struct ShardSet {
     cols: usize,
@@ -1049,7 +1088,7 @@ mod tests {
                     .num_threads(threads)
                     .build()
                     .expect("pool");
-                let rows = pool
+                let set = pool
                     .install(|| {
                         write_dataset_shards(
                             &dataset,
@@ -1060,7 +1099,7 @@ mod tests {
                         )
                     })
                     .expect("bulk write");
-                assert_eq!(rows, classes.len());
+                assert_eq!(set.len(), classes.len());
                 let got = dir_files(&dir);
                 assert_eq!(
                     got.iter().map(|(n, _)| n).collect::<Vec<_>>(),
@@ -1074,6 +1113,50 @@ mod tests {
                 let _ = std::fs::remove_dir_all(&dir);
             }
             let _ = std::fs::remove_dir_all(&reference);
+        }
+    }
+
+    /// The set [`write_dataset_shards`] seals reads exactly like the
+    /// one [`ShardSet::open`] verifies from the same directory: labels,
+    /// columns, fingerprint, identity and every row's floats, with
+    /// one shard or several, at one and four threads.
+    #[test]
+    fn sealed_set_equals_the_verified_open() {
+        let (dataset, embedder) = small_dataset();
+        for threads in [1, 4] {
+            for rows_per_shard in [7, DEFAULT_ROWS_PER_SHARD] {
+                let dir = tempdir(&format!("sealed-{rows_per_shard}-{threads}"));
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .expect("pool");
+                let sealed = pool
+                    .install(|| {
+                        write_dataset_shards(
+                            &dataset,
+                            &embedder,
+                            &dir,
+                            rows_per_shard,
+                            &cati_obs::NOOP,
+                        )
+                    })
+                    .expect("bulk write");
+                let opened = ShardSet::open(&dir).expect("open");
+                let case = format!("{rows_per_shard} rows per shard, {threads} threads");
+                assert!(!opened.is_empty(), "{case}");
+                assert_eq!(sealed.labels(), opened.labels(), "{case}");
+                assert_eq!(sealed.cols(), opened.cols(), "{case}");
+                assert_eq!(sealed.fingerprint(), opened.fingerprint(), "{case}");
+                assert_eq!(sealed.identity(), opened.identity(), "{case}");
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                for row in 0..opened.len() {
+                    sealed.read_row(row, &mut a).expect("sealed row");
+                    opened.read_row(row, &mut b).expect("opened row");
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&a), bits(&b), "row {row}, {case}");
+                }
+                let _ = std::fs::remove_dir_all(&dir);
+            }
         }
     }
 
