@@ -72,16 +72,17 @@ impl VarTyper for NoContextCati {
     }
 
     fn predict_var(&self, ex: &Extraction, var_idx: usize) -> TypeClass {
-        let dists: Vec<Vec<f32>> = ex.vars[var_idx]
+        let xs: Vec<Vec<f32>> = ex.vars[var_idx]
             .vucs
             .iter()
             .map(|&v| {
                 let blanked = blank_context(&ex.vucs[v as usize].insns);
-                let x = self.embedder.embed_window(&blanked);
-                self.stages.leaf_distribution(&x)
+                self.embedder.embed_window(&blanked)
             })
             .collect();
-        TypeClass::ALL[cati::vote(&dists, self.threshold).class]
+        let dists = self.stages.leaf_distributions_batch(&xs);
+        let rows: Vec<&[f32]> = dists.rows_iter().collect();
+        TypeClass::ALL[cati::vote(&rows, self.threshold).class]
     }
 }
 

@@ -7,6 +7,7 @@
 //! makes the decision even more robust.
 
 use crate::config::Config;
+use crate::dataset::embed_extraction;
 use cati_analysis::{Extraction, VUC_LEN};
 use cati_embedding::VucEmbedder;
 use cati_nn::{Adam, TextCnn, TextCnnConfig};
@@ -68,24 +69,19 @@ impl CompilerId {
         CompilerId { model }
     }
 
-    /// Per-VUC prediction.
-    pub fn predict_vuc(&self, embedder: &VucEmbedder, window: &[cati_asm::GenInsn]) -> Compiler {
-        let probs = self.model.predict(&embedder.embed_window(window));
-        if probs[1] > probs[0] {
-            Compiler::Clang
-        } else {
-            Compiler::Gcc
-        }
+    /// Per-VUC predictions of one extraction: its VUCs embedded into
+    /// one tensor and classified in one batched pass.
+    fn predict_vucs(&self, embedder: &VucEmbedder, ex: &Extraction) -> Vec<Compiler> {
+        let probs = self.model.predict_batch(&embed_extraction(ex, embedder));
+        let compiler = |p: &[f32]| [Compiler::Gcc, Compiler::Clang][usize::from(p[1] > p[0])];
+        probs.rows_iter().map(compiler).collect()
     }
 
     /// Whole-binary decision: majority vote over all its VUCs.
     pub fn predict_binary(&self, embedder: &VucEmbedder, ex: &Extraction) -> Compiler {
-        let clang_votes: usize = ex
-            .vucs
-            .par_iter()
-            .map(|v| usize::from(self.predict_vuc(embedder, &v.insns) == Compiler::Clang))
-            .sum();
-        if clang_votes * 2 > ex.vucs.len() {
+        let preds = self.predict_vucs(embedder, ex);
+        let clang_votes = preds.iter().filter(|&&c| c == Compiler::Clang).count();
+        if clang_votes * 2 > preds.len() {
             Compiler::Clang
         } else {
             Compiler::Gcc
@@ -94,16 +90,12 @@ impl CompilerId {
 
     /// VUC-level accuracy over labeled extractions.
     pub fn accuracy(&self, embedder: &VucEmbedder, data: &[(&Extraction, Compiler)]) -> f64 {
-        let mut correct = 0u64;
-        let mut total = 0u64;
+        let mut correct = 0usize;
+        let mut total = 0usize;
         for (ex, compiler) in data {
-            let ok: u64 = ex
-                .vucs
-                .par_iter()
-                .map(|v| u64::from(self.predict_vuc(embedder, &v.insns) == *compiler))
-                .sum();
-            correct += ok;
-            total += ex.vucs.len() as u64;
+            let preds = self.predict_vucs(embedder, ex);
+            correct += preds.iter().filter(|&c| c == compiler).count();
+            total += preds.len();
         }
         if total == 0 {
             0.0

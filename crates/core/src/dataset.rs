@@ -327,18 +327,17 @@ pub fn embed_extraction(ex: &Extraction, embedder: &VucEmbedder) -> Tensor {
 /// Hot-path shape: the instruction-column cache is read-locked *once*
 /// for the whole batch (`VucEmbedder::columns`) and every worker
 /// scatters borrowed columns straight into its rows — no per-insn
-/// lock, `Arc` clone, or telemetry atomics. Columns missing from the
-/// cache are computed directly into the rows (same floats), then
-/// inserted afterwards via one [`VucEmbedder::prime`] pass so later
-/// batches hit.
+/// lock or `Arc` clone. Columns missing from the cache are computed
+/// directly into the rows (same floats), then inserted afterwards via
+/// one [`VucEmbedder::prime`] pass so later batches hit.
 pub(crate) fn embed_windows_into(
     windows: &[&[GenInsn]],
     embedder: &VucEmbedder,
     cols: usize,
     out: &mut [f32],
 ) {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    let misses = AtomicU64::new(0);
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let missed = AtomicBool::new(false);
     {
         let view = embedder.columns();
         cati_nn::fill_rows(
@@ -346,17 +345,13 @@ pub(crate) fn embed_windows_into(
             cols,
             || &view,
             |view, i, row| {
-                let m = view.fill_window(windows[i], row) as u64;
-                if m > 0 {
-                    misses.fetch_add(m, Ordering::Relaxed);
+                if view.fill_window(windows[i], row) > 0 {
+                    missed.store(true, Ordering::Relaxed);
                 }
             },
         );
     }
-    let missed = misses.into_inner();
-    let insns_total: u64 = windows.iter().map(|w| w.len() as u64).sum();
-    embedder.record_usage(insns_total - missed, missed);
-    if missed > 0 {
+    if missed.into_inner() {
         embedder.prime(windows.iter().copied());
     }
 }

@@ -6,9 +6,7 @@ use crate::dataset::{labeled_rows, plan_stage_samples, Dataset, EmbeddedSamples}
 use crate::shards::{ShardError, ShardSamples, ShardSet};
 use cati_dwarf::{StageId, TypeClass};
 use cati_embedding::VucEmbedder;
-use cati_nn::{
-    argmax, predict_fused, Adam, Rows, SampleSource, Tensor, TextCnn, TextCnnConfig, TrainHook,
-};
+use cati_nn::{predict_fused, Adam, Rows, SampleSource, Tensor, TextCnn, TextCnnConfig, TrainHook};
 use cati_obs::{Event, Level, Observer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -354,23 +352,19 @@ impl MultiStage {
             .1
     }
 
-    /// Per-stage class probabilities for one embedded VUC.
-    pub fn stage_probs(&self, stage: StageId, x: &[f32]) -> Vec<f32> {
-        self.stage(stage).predict(x)
-    }
-
     /// Per-stage class probabilities for a batch of embedded VUCs
     /// (one batched CNN pass; workspaces shared per worker), one
     /// `stage.num_classes()` row per input row. Inputs are anything
-    /// implementing [`Rows`] — the session's flat tensor or a borrowed
-    /// row subset.
+    /// implementing [`Rows`] — the session's flat tensor, a borrowed
+    /// row subset, or a stack of occlusion probes.
     pub fn stage_probs_batch<R: Rows + ?Sized>(&self, stage: StageId, xs: &R) -> Tensor {
         self.stage(stage).predict_batch(xs)
     }
 
     /// Leaf distributions of a whole batch of embedded VUCs, as an
-    /// `n × 19` tensor. Row `i` equals `leaf_distribution(xs row i)`
-    /// bitwise.
+    /// `n × 19` tensor: the probability of each leaf is the product of
+    /// the stage probabilities along its root-to-leaf path. Row `i` is
+    /// bitwise the distribution of row `i` alone.
     ///
     /// One fused pass ([`cati_nn::predict_fused`]) runs all six stage
     /// CNNs on each 8-VUC tile and writes each leaf's root-to-leaf
@@ -402,49 +396,6 @@ impl MultiStage {
             }
         })
     }
-
-    /// The full 19-class leaf distribution of one embedded VUC: the
-    /// probability of each leaf is the product of the stage
-    /// probabilities along its root-to-leaf path.
-    pub fn leaf_distribution(&self, x: &[f32]) -> Vec<f32> {
-        let per_stage: Vec<(StageId, Vec<f32>)> = StageId::ALL
-            .iter()
-            .map(|&s| (s, self.stage_probs(s, x)))
-            .collect();
-        let prob = |stage: StageId, label: usize| -> f32 {
-            per_stage
-                .iter()
-                .find(|(s, _)| *s == stage)
-                .map(|(_, p)| p[label])
-                .unwrap_or(0.0)
-        };
-        TypeClass::ALL
-            .iter()
-            .map(|&class| {
-                StageId::path_of(class)
-                    .into_iter()
-                    .map(|(stage, label)| prob(stage, label))
-                    .product()
-            })
-            .collect()
-    }
-
-    /// Greedy tree descent: the argmax label at each stage decides the
-    /// branch; returns the leaf and the (stage, label, confidence)
-    /// path.
-    pub fn descend(&self, x: &[f32]) -> (TypeClass, Vec<(StageId, usize, f32)>) {
-        let mut stage = StageId::Stage1;
-        let mut path = Vec::with_capacity(3);
-        loop {
-            let probs = self.stage_probs(stage, x);
-            let label = argmax(&probs);
-            path.push((stage, label, probs[label]));
-            if let Some(leaf) = stage.leaf(label) {
-                return (leaf, path);
-            }
-            stage = stage.next(label).expect("non-leaf label routes onward");
-        }
-    }
 }
 
 #[cfg(test)]
@@ -466,8 +417,8 @@ mod tests {
         (ms, embedder, ds)
     }
 
-    /// The fused pass's rows are bitwise equal both to per-row
-    /// `leaf_distribution` and to the product of each stage's batched
+    /// The fused pass's rows are bitwise equal both to the fused pass
+    /// over that row alone and to the product of each stage's batched
     /// probabilities along `StageId::path_of` (the composition the
     /// traced benchmark times), for row counts around the 8-VUC tile.
     #[test]
@@ -502,11 +453,8 @@ mod tests {
                 .collect();
             for i in 0..n {
                 let row = fused.row(i);
-                assert_eq!(
-                    bits(row),
-                    bits(&ms.leaf_distribution(xs.row(i))),
-                    "n={n} row {i}"
-                );
+                let alone = ms.leaf_distributions_batch(&vec![xs.row(i)]);
+                assert_eq!(bits(row), bits(alone.row(0)), "n={n} row {i}");
                 let composed: Vec<f32> = TypeClass::ALL
                     .iter()
                     .map(|&class| {
@@ -529,7 +477,8 @@ mod tests {
         let (ms, embedder, ds) = trained();
         let ex = &ds.entries[0].1;
         let x = embedder.embed_window(&ex.vucs[0].insns);
-        let dist = ms.leaf_distribution(&x);
+        let dists = ms.leaf_distributions_batch(std::slice::from_ref(&x));
+        let dist = dists.row(0);
         assert_eq!(dist.len(), 19);
         let sum: f32 = dist.iter().sum();
         assert!((sum - 1.0).abs() < 1e-3, "leaf distribution sums to {sum}");
@@ -537,55 +486,29 @@ mod tests {
     }
 
     #[test]
-    fn descend_agrees_with_leaf_argmax_often() {
-        let (ms, embedder, ds) = trained();
-        let mut agree = 0;
-        let mut total = 0;
-        for (_, ex) in ds.entries.iter().take(3) {
-            for vuc in ex.vucs.iter().take(30) {
-                let x = embedder.embed_window(&vuc.insns);
-                let (leaf, path) = ms.descend(&x);
-                assert!(!path.is_empty() && path.len() <= 3);
-                let dist = ms.leaf_distribution(&x);
-                let argmax = TypeClass::ALL[dist
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .unwrap()
-                    .0];
-                total += 1;
-                if argmax == leaf {
-                    agree += 1;
-                }
-            }
-        }
-        // Greedy descent and global argmax agree in the typical case.
-        assert!(agree * 2 > total, "only {agree}/{total} agreement");
-    }
-
-    #[test]
     fn stage1_learns_pointerness_signal() {
         let (ms, embedder, ds) = trained();
         // On training data itself, stage 1 should beat a coin flip.
-        let mut correct = 0usize;
-        let mut total = 0usize;
+        let (mut xs, mut truths) = (Vec::new(), Vec::new());
         for (_, ex) in &ds.entries {
             for vuc in &ex.vucs {
                 let Some(class) = vuc.class(&ex.vars) else {
                     continue;
                 };
-                let truth = usize::from(class.is_pointer());
-                let x = embedder.embed_window(&vuc.insns);
-                let p = ms.stage_probs(StageId::Stage1, &x);
-                let pred = usize::from(p[1] > p[0]);
-                correct += usize::from(pred == truth);
-                total += 1;
-                if total > 400 {
+                truths.push(class.is_pointer());
+                xs.push(embedder.embed_window(&vuc.insns));
+                if truths.len() > 400 {
                     break;
                 }
             }
         }
-        let acc = correct as f64 / total as f64;
+        let probs = ms.stage_probs_batch(StageId::Stage1, &xs);
+        let correct = probs
+            .rows_iter()
+            .zip(&truths)
+            .filter(|(p, &truth)| (p[1] > p[0]) == truth)
+            .count();
+        let acc = correct as f64 / truths.len() as f64;
         assert!(acc > 0.6, "stage1 train accuracy {acc:.2}");
     }
 }

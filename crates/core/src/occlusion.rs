@@ -11,12 +11,17 @@ use crate::session::EmbeddedExtraction;
 use cati_analysis::VUC_LEN;
 use cati_asm::generalize::GenInsn;
 use cati_dwarf::StageId;
-use cati_nn::argmax;
-use rayon::prelude::*;
+use cati_nn::{argmax, Tensor};
 use serde::{Deserialize, Serialize};
 
 /// ε values of one VUC: one per window position.
 pub type Epsilons = Vec<f32>;
+
+/// Windows whose probes [`importance_heatmap`] classifies in one
+/// batched pass: 64 windows are 1,408 probe rows (176 tiles), enough
+/// to keep every worker busy, while the probe block stays near 11 MB
+/// at paper scale (96 channels) however many VUCs are sampled.
+const HEATMAP_CHUNK: usize = 64;
 
 /// Computes ε for every position of one window at `stage`.
 ///
@@ -31,20 +36,41 @@ pub fn occlusion_epsilons(cati: &Cati, window: &[GenInsn], stage: StageId) -> Ep
 /// [`occlusion_epsilons`] for a window whose embedding `x` (an
 /// `embed_dim × len` tensor) is already in hand — the fast path: each
 /// of the `len` probes patches only the blanked position's channel
-/// column instead of re-embedding the whole window. Identical output:
-/// a BLANK column carries the same floats wherever it is written.
+/// column instead of re-embedding the whole window, and the intact
+/// window and its probes run through the stage CNN as one batch.
+/// Identical output: a BLANK column carries the same floats wherever
+/// it is written, and a batched row is bitwise that row alone.
 pub fn occlusion_epsilons_embedded(cati: &Cati, x: &[f32], len: usize, stage: StageId) -> Epsilons {
-    let base_probs = cati.stages.stage_probs(stage, x);
-    let best = argmax(&base_probs);
-    let base_conf = base_probs[best].max(1e-6);
+    let mut probes = Vec::with_capacity(x.len() * (len + 1));
+    push_probes(cati, x, len, &mut probes);
+    let probs = cati
+        .stages
+        .stage_probs_batch(stage, &Tensor::from_flat(len + 1, x.len(), probes));
+    epsilons(&probs, 0, len)
+}
+
+/// Appends the `len + 1` probe rows of one window to `probes`: the
+/// intact embedding `x`, then one copy per position `k` with position
+/// `k` blanked.
+fn push_probes(cati: &Cati, x: &[f32], len: usize, probes: &mut Vec<f32>) {
     let blank = GenInsn::blank();
-    (0..len)
-        .map(|k| {
-            let mut xo = x.to_vec();
-            cati.embedder.patch_window_position(&mut xo, len, k, &blank);
-            let probs = cati.stages.stage_probs(stage, &xo);
-            probs[best] / base_conf
-        })
+    probes.extend_from_slice(x);
+    for k in 0..len {
+        let start = probes.len();
+        probes.extend_from_slice(x);
+        cati.embedder
+            .patch_window_position(&mut probes[start..], len, k, &blank);
+    }
+}
+
+/// ε of the window whose `len + 1` probe rows of stage probabilities
+/// start at row `first` of `probs` (see [`push_probes`]).
+fn epsilons(probs: &Tensor, first: usize, len: usize) -> Epsilons {
+    let base_probs = probs.row(first);
+    let best = argmax(base_probs);
+    let base_conf = base_probs[best].max(1e-6);
+    (1..=len)
+        .map(|k| probs.row(first + k)[best] / base_conf)
         .collect()
 }
 
@@ -85,12 +111,26 @@ pub fn importance_heatmap(
             }
         }
     }
-    let all_eps: Vec<Epsilons> = windows
-        .par_iter()
-        .map(|x| occlusion_epsilons_embedded(cati, x, VUC_LEN, stage))
-        .collect();
+    // Chunk by chunk, serially: each chunk's probes are one batched
+    // pass, parallel across its tiles, so the probe block never grows
+    // past one chunk.
+    let mut all_eps = Vec::with_capacity(windows.len());
+    for chunk in windows.chunks(HEATMAP_CHUNK) {
+        let mut probes = Vec::new();
+        for x in chunk {
+            push_probes(cati, x, VUC_LEN, &mut probes);
+        }
+        let block = Tensor::from_flat(chunk.len() * (VUC_LEN + 1), chunk[0].len(), probes);
+        let probs = cati.stages.stage_probs_batch(stage, &block);
+        all_eps.extend((0..chunk.len()).map(|w| epsilons(&probs, w * (VUC_LEN + 1), VUC_LEN)));
+    }
+    heatmap_of(&all_eps)
+}
+
+/// The heat map of the `VUC_LEN` ε values of each sampled VUC.
+fn heatmap_of(all_eps: &[Epsilons]) -> ImportanceHeatmap {
     let mut rows = vec![vec![0.0f64; 10]; VUC_LEN];
-    for eps in &all_eps {
+    for eps in all_eps {
         for (k, &e) in eps.iter().enumerate() {
             for (c, cell) in rows[k].iter_mut().enumerate() {
                 if e < (c as f32 + 1.0) / 10.0 {
@@ -134,8 +174,9 @@ mod tests {
             assert!((e - 1.0).abs() < 1e-4, "blank-on-blank epsilon {e}");
         }
 
-        // The patch fast path must equal naive re-embedding of each
-        // occluded window bit for bit, on a real VUC.
+        // The batched patch fast path must equal naive re-embedding
+        // and classifying of each occluded window alone, bit for bit,
+        // on a real VUC.
         let ex = cati_analysis::extract(
             &corpus.test[0].binary.strip(),
             cati_analysis::FeatureView::Stripped,
@@ -143,24 +184,45 @@ mod tests {
         .unwrap();
         let window = &ex.vucs[0].insns;
         let fast = occlusion_epsilons(&cati, window, StageId::Stage1);
-        let base_probs = cati
-            .stages
-            .stage_probs(StageId::Stage1, &cati.embedder.embed_window(window));
-        let (argmax, base_conf) = base_probs
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, p)| (i, *p))
-            .unwrap();
-        let base_conf = base_conf.max(1e-6);
+        let alone = |x: Vec<f32>| {
+            let probs = cati.stages.stage_probs_batch(StageId::Stage1, &[x][..]);
+            probs.row(0).to_vec()
+        };
+        let base_probs = alone(cati.embedder.embed_window(window));
+        let best = argmax(&base_probs);
+        let base_conf = base_probs[best].max(1e-6);
         let naive: Epsilons = (0..window.len())
             .map(|k| {
                 let mut occluded = window.clone();
                 occluded[k] = GenInsn::blank();
-                let xo = cati.embedder.embed_window(&occluded);
-                cati.stages.stage_probs(StageId::Stage1, &xo)[argmax] / base_conf
+                alone(cati.embedder.embed_window(&occluded))[best] / base_conf
             })
             .collect();
         assert_eq!(fast, naive, "patched probes diverged from re-embedding");
+
+        // The chunked heat map counts exactly the per-window ε, over
+        // more windows than one chunk holds.
+        let exs: Vec<_> = corpus
+            .test
+            .iter()
+            .map(|b| {
+                cati_analysis::extract(&b.binary.strip(), cati_analysis::FeatureView::Stripped)
+                    .unwrap()
+            })
+            .collect();
+        let sessions: Vec<_> = exs
+            .iter()
+            .map(|ex| EmbeddedExtraction::new(&cati.embedder, ex))
+            .collect();
+        let n = HEATMAP_CHUNK + 9;
+        let heatmap = importance_heatmap(&cati, &sessions, StageId::Stage1, n);
+        assert_eq!(heatmap.samples, n as u64);
+        let per_window: Vec<Epsilons> = sessions
+            .iter()
+            .flat_map(|s| (0..s.extraction().vucs.len()).map(move |i| s.embedding(i)))
+            .take(n)
+            .map(|x| occlusion_epsilons_embedded(&cati, x, VUC_LEN, StageId::Stage1))
+            .collect();
+        assert_eq!(heatmap, heatmap_of(&per_window));
     }
 }

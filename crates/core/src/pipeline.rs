@@ -255,12 +255,6 @@ impl Cati {
         })
     }
 
-    /// Leaf distribution (19 classes) of one generalized window.
-    pub fn predict_window(&self, insns: &[cati_asm::generalize::GenInsn]) -> Vec<f32> {
-        let x = self.embedder.embed_window(insns);
-        self.stages.leaf_distribution(&x)
-    }
-
     /// Evaluates one labeled extraction: per-VUC distributions and
     /// per-variable votes. All six stages run as batched passes over
     /// the whole extraction; votes index the shared distribution

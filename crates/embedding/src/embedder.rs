@@ -14,7 +14,6 @@ use crate::hash::FxHashMap;
 use crate::word2vec::Word2Vec;
 use cati_asm::generalize::{GenInsn, TOKENS_PER_INSN};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// Embeds generalized instruction windows into CNN input tensors.
@@ -30,8 +29,6 @@ pub struct VucEmbedder {
     /// crate-local [`FxHashMap`]: one lookup per instruction per VUC
     /// makes SipHash over three strings the bulk-embedding bottleneck.
     cache: RwLock<FxHashMap<GenInsn, Arc<[f32]>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl Clone for VucEmbedder {
@@ -39,8 +36,6 @@ impl Clone for VucEmbedder {
         VucEmbedder {
             model: self.model.clone(),
             cache: RwLock::new(self.cache.read().expect("embed cache lock").clone()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
     }
 }
@@ -72,8 +67,6 @@ impl VucEmbedder {
         VucEmbedder {
             model,
             cache: RwLock::new(FxHashMap::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
     }
 
@@ -114,10 +107,8 @@ impl VucEmbedder {
     /// The memoized channel column of one instruction.
     fn insn_column(&self, insn: &GenInsn) -> Arc<[f32]> {
         if let Some(col) = self.cache.read().expect("embed cache lock").get(insn) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(col);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let col: Arc<[f32]> = Arc::from(self.compute_column(insn));
         Arc::clone(
             self.cache
@@ -161,9 +152,6 @@ impl VucEmbedder {
     /// Ensures every instruction of `windows` has a cached channel
     /// column, inserting all misses under a single write lock (the
     /// per-insn path takes the lock once per new instruction).
-    ///
-    /// Purely a cache warm-up: it never touches the hit/miss
-    /// telemetry, which is accounted by the lookup paths.
     pub fn prime<'a>(&self, windows: impl IntoIterator<Item = &'a [GenInsn]>) {
         let mut fresh: FxHashMap<GenInsn, Arc<[f32]>> = FxHashMap::default();
         {
@@ -213,18 +201,6 @@ impl VucEmbedder {
         }
     }
 
-    /// Adds a batch of lookups to the hit/miss telemetry — the bulk
-    /// embedding path accounts one extraction at a time instead of
-    /// bumping two atomics per instruction.
-    pub fn record_usage(&self, hits: u64, misses: u64) {
-        if hits > 0 {
-            self.hits.fetch_add(hits, Ordering::Relaxed);
-        }
-        if misses > 0 {
-            self.misses.fetch_add(misses, Ordering::Relaxed);
-        }
-    }
-
     /// Overwrites window position `t` of a tensor produced by
     /// [`VucEmbedder::embed_window`] with `insn`'s channel column —
     /// the occlusion fast path: a probe that blanks one instruction
@@ -242,15 +218,6 @@ impl VucEmbedder {
         for (c, &v) in col.iter().enumerate() {
             x[c * len + t] = v;
         }
-    }
-
-    /// `(hits, misses)` of the instruction-column cache since this
-    /// instance was created (clones start back at zero).
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
     }
 
     /// Number of distinct instructions currently cached.
@@ -306,8 +273,7 @@ impl ColumnView<'_> {
     /// columns through the held guard. Instructions missing from the
     /// cache are computed directly into the tensor (same floats, not
     /// inserted — a read lock cannot grow the map); the returned miss
-    /// count lets the caller re-[`VucEmbedder::prime`] afterwards and
-    /// feed [`VucEmbedder::record_usage`].
+    /// count tells the caller to re-[`VucEmbedder::prime`] afterwards.
     ///
     /// # Panics
     ///
@@ -456,16 +422,16 @@ mod tests {
     #[test]
     fn cached_embedding_matches_uncached_oracle() {
         let e = embedder();
-        for w in sample_windows() {
+        let windows = sample_windows();
+        for w in &windows {
             // First pass populates the cache, second pass hits it;
             // both must equal the direct per-token lookup bit for bit.
-            let oracle = embed_window_uncached(&e, &w);
-            assert_eq!(e.embed_window(&w), oracle);
-            assert_eq!(e.embed_window(&w), oracle);
+            let oracle = embed_window_uncached(&e, w);
+            assert_eq!(e.embed_window(w), oracle);
+            assert_eq!(e.embed_window(w), oracle);
         }
-        let (hits, misses) = e.cache_stats();
-        assert!(hits > 0, "second pass must hit the cache");
-        assert_eq!(misses as usize, e.cached_insns());
+        let distinct: std::collections::HashSet<&GenInsn> = windows.iter().flatten().collect();
+        assert_eq!(e.cached_insns(), distinct.len());
     }
 
     #[test]
@@ -508,7 +474,7 @@ mod tests {
     }
 
     #[test]
-    fn prime_is_idempotent_and_skips_telemetry() {
+    fn prime_is_idempotent() {
         let e = embedder();
         let windows = sample_windows();
         e.prime(windows.iter().map(Vec::as_slice));
@@ -516,9 +482,6 @@ mod tests {
         assert!(n > 0);
         e.prime(windows.iter().map(Vec::as_slice));
         assert_eq!(e.cached_insns(), n, "second prime must not grow the cache");
-        assert_eq!(e.cache_stats(), (0, 0), "prime never counts hits/misses");
-        e.record_usage(7, 3);
-        assert_eq!(e.cache_stats(), (7, 3));
     }
 
     #[test]
@@ -534,12 +497,11 @@ mod tests {
     }
 
     #[test]
-    fn clone_copies_cache_but_resets_stats() {
+    fn clone_copies_cache() {
         let e = embedder();
         e.embed_window(&sample_windows()[0]);
         let c = e.clone();
         assert_eq!(c.cached_insns(), e.cached_insns());
-        assert_eq!(c.cache_stats(), (0, 0));
         assert_eq!(c, e);
     }
 }

@@ -1,9 +1,11 @@
 //! Neural-network layers with explicit forward/backward passes.
 //!
-//! Everything is `f32` and allocation-light: forward passes return the
-//! activations they need cached for the backward pass, and gradients
-//! accumulate into caller-owned buffers so mini-batches can be
-//! processed in parallel and reduced.
+//! Everything is `f32` and runs on lane-major tiles of [`LANES`]
+//! samples: the forward kernels write into caller-owned tiles the
+//! backward kernels read, and gradients accumulate into caller-owned
+//! buffers so minibatch shards can be processed in parallel and
+//! reduced. The one-sample passes survive only as the test-only
+//! scalar references every lane kernel is pinned to (`reference`).
 
 use crate::isa::{Isa, Kernel};
 use crate::param::ParamBuf;
@@ -54,36 +56,6 @@ impl Conv1d {
         self.w.len() + self.b.len()
     }
 
-    /// Forward pass: `x` is `[in_ch][len]` flattened; output is
-    /// `[out_ch][len]` flattened.
-    ///
-    /// Every kernel tap is applied unconditionally: a `0.0` weight
-    /// contributes `0.0 * x`, which on non-finite inputs is NaN — the
-    /// same arithmetic the backward pass performs. (The old
-    /// zero-weight skip made forward silently ignore ±∞/NaN under a
-    /// zero tap while backward propagated it, and its data-dependent
-    /// branch blocked vectorization.)
-    pub fn forward(&self, x: &[f32], len: usize, y: &mut Vec<f32>) {
-        debug_assert_eq!(x.len(), self.in_ch * len);
-        let pad = self.k / 2;
-        y.clear();
-        y.resize(self.out_ch * len, 0.0);
-        // Columns where every tap `t + dk - pad` lands inside
-        // `[0, len)`: the interior `[pad, len + pad - k + 1)`, clamped
-        // for inputs shorter than the kernel.
-        let lo = pad.min(len);
-        let hi = (len + pad + 1).saturating_sub(self.k).clamp(lo, len);
-        for o in 0..self.out_ch {
-            let yo = &mut y[o * len..(o + 1) * len];
-            yo.fill(self.b[o]);
-            for i in 0..self.in_ch {
-                let xi = &x[i * len..(i + 1) * len];
-                let w = &self.w[(o * self.in_ch + i) * self.k..][..self.k];
-                conv_accum_row(w, xi, yo, pad, lo, hi);
-            }
-        }
-    }
-
     /// Lane-major forward over [`LANES`] samples at once: `xt` is
     /// `[in_ch][len][LANES]` (lane `j` = sample `j`), `yt` receives
     /// `[out_ch][len][LANES]` in the same layout.
@@ -94,10 +66,10 @@ impl Conv1d {
     /// keeps its accumulators in registers across every `(i, dk)` tap
     /// and stores them once. Each lane's
     /// per-element chain is bias-seeded then ascending `(i, dk)` over
-    /// in-bounds taps — exactly [`Conv1d::forward`]'s chain, so
-    /// per-sample outputs are bitwise identical to the one-sample
-    /// path. Runs the AVX2 build of the kernel on CPUs that have it
-    /// (same bits; see the `isa` module).
+    /// every in-bounds tap, zero weights included (`0 · ∞` is NaN here
+    /// as in the backward pass) — the scalar reference's chain, which
+    /// the tests pin each lane to bitwise. Runs the AVX2 build of the
+    /// kernel on CPUs that have it (same bits; see the `isa` module).
     pub fn forward_lanes(&self, xt: &[f32], len: usize, yt: &mut Vec<f32>) {
         self.forward_lanes_on(Isa::detected(), xt, len, yt);
     }
@@ -486,53 +458,6 @@ fn skip_zero(g: f32, p: f32) -> f32 {
     }
 }
 
-/// Adds one input channel's contribution `Σ_dk w[dk]·xi[t+dk-pad]`
-/// into every output column `yo[t]`, keeping each column's
-/// accumulation chain in ascending-`dk` order (the bit-parity
-/// contract with the scalar reference kernel).
-///
-/// Columns in `[lo, hi)` see the whole kernel in bounds, so their
-/// inner loop is a straight multiply-add over `xi[t-pad..t-pad+k]`
-/// with no data-dependent branches; an 8-column block turns that into
-/// independent per-lane chains the autovectorizer lifts into SIMD.
-/// Edge columns fall back to per-tap bounds checks (zero padding).
-#[inline]
-fn conv_accum_row(w: &[f32], xi: &[f32], yo: &mut [f32], pad: usize, lo: usize, hi: usize) {
-    const B: usize = 8;
-    let len = yo.len();
-    for t in (0..lo).chain(hi..len) {
-        let mut acc = yo[t];
-        for (dk, &wv) in w.iter().enumerate() {
-            let src = t + dk;
-            if src >= pad && src - pad < len {
-                acc += wv * xi[src - pad];
-            }
-        }
-        yo[t] = acc;
-    }
-    let mut t = lo;
-    while t + B <= hi {
-        let mut acc = [0.0f32; B];
-        acc.copy_from_slice(&yo[t..t + B]);
-        for (dk, &wv) in w.iter().enumerate() {
-            let xs = &xi[t + dk - pad..t + dk - pad + B];
-            for (a, &xv) in acc.iter_mut().zip(xs) {
-                *a += wv * xv;
-            }
-        }
-        yo[t..t + B].copy_from_slice(&acc);
-        t += B;
-    }
-    for t in t..hi {
-        let xw = &xi[t - pad..t - pad + w.len()];
-        let mut acc = yo[t];
-        for (&wv, &xv) in w.iter().zip(xw) {
-            acc += wv * xv;
-        }
-        yo[t] = acc;
-    }
-}
-
 /// Sample lanes per batched-inference tile ([`Dense::forward_batch`],
 /// [`Conv1d::forward_lanes`], [`maxpool2_lanes`]): 8 floats is one
 /// AVX register (or two SSE ones), and small enough that accumulator
@@ -574,31 +499,18 @@ impl Dense {
         self.w.len() + self.b.len()
     }
 
-    /// `y = W x + b`.
-    pub fn forward(&self, x: &[f32], y: &mut Vec<f32>) {
-        debug_assert_eq!(x.len(), self.in_dim);
-        y.clear();
-        y.reserve(self.out_dim);
-        for o in 0..self.out_dim {
-            let row = &self.w[o * self.in_dim..(o + 1) * self.in_dim];
-            let dot: f32 = row.iter().zip(x).map(|(a, b)| a * b).sum();
-            y.push(dot + self.b[o]);
-        }
-    }
-
     /// Tiled batch-GEMM over [`LANES`] samples at once: `xt` is
     /// the input tile *transposed* to `[in_dim][LANES]` (lane `j` =
     /// sample `j`), `out` receives `[out_dim][LANES]` in the same
     /// lane-major layout.
     ///
-    /// Each lane's accumulation chain is exactly
-    /// [`Dense::forward`]'s — zero-seeded, ascending `i`, bias added
-    /// last — so per-sample outputs are bitwise identical to the
-    /// one-sample path. Outputs are register-blocked 4 at a time (then
-    /// 2, 1): each input column `xt[i]` is loaded once per block and
-    /// feeds 4 independent accumulator chains, and the weight
-    /// matrix streams through once per *tile* instead of once per
-    /// sample. Runs the AVX2 build of the kernel on CPUs that have it
+    /// Each lane's accumulation chain is the scalar reference's —
+    /// zero-seeded, ascending `i`, bias added last — which the tests
+    /// pin each lane to bitwise. Outputs are register-blocked 4 at a
+    /// time (then 2, 1): each input column `xt[i]` is loaded once per
+    /// block and feeds 4 independent accumulator chains, and the
+    /// weight matrix streams through once per *tile* instead of once
+    /// per sample. Runs the AVX2 build of the kernel on CPUs that have it
     /// (same bits; see the `isa` module).
     pub fn forward_batch(&self, xt: &[f32], out: &mut Vec<f32>) {
         self.forward_batch_on(Isa::detected(), xt, out);
@@ -863,26 +775,11 @@ pub fn relu_backward(y: &[f32], gy: &mut [f32]) {
     }
 }
 
-/// Max-pool each channel of `[channels][len]` by a factor of 2
-/// (floor): each output is `a >= b ? a : b` over one pair.
-pub fn maxpool2(x: &[f32], channels: usize, len: usize) -> Vec<f32> {
-    let out_len = len / 2;
-    let mut y = Vec::with_capacity(channels * out_len);
-    for c in 0..channels {
-        let xc = &x[c * len..(c + 1) * len];
-        for t in 0..out_len {
-            let (a, b) = (xc[2 * t], xc[2 * t + 1]);
-            y.push(if a >= b { a } else { b });
-        }
-    }
-    y
-}
-
 /// Lane-major max-pool over [`LANES`] samples at once: `xt` is
 /// `[channels][len][LANES]`, `yt` receives
 /// `[channels][len/2][LANES]`. Each lane's select is `a >= b ? a : b`,
-/// the same comparison (including NaN polarity) as [`maxpool2`]. Runs
-/// the AVX2 build of the kernel on CPUs that have it.
+/// NaN polarity included. Runs the AVX2 build of the kernel on CPUs
+/// that have it.
 pub fn maxpool2_lanes(xt: &[f32], channels: usize, len: usize, yt: &mut Vec<f32>) {
     maxpool2_lanes_on(Isa::detected(), xt, channels, len, yt, None);
 }
@@ -1032,12 +929,51 @@ pub fn cross_entropy_backward(probs: &mut [f32], label: usize) -> f32 {
     loss
 }
 
-/// The one-sample backward pass the trainer ran before it moved onto
-/// lane-major tiles, kept verbatim as the bit-parity oracle of the lane
-/// backward kernels and of the tile trainer.
+/// The one-sample passes the layers ran before they moved onto
+/// lane-major tiles, kept as the bit-parity oracles of the lane kernels,
+/// of the fused inference pass and of the tile trainer.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::{Conv1d, Dense};
+
+    /// One-sample convolution forward: `x` is `[in_ch][len]`, `y`
+    /// receives `[out_ch][len]`. Each output is bias-seeded, then adds
+    /// `w · x` over every in-bounds tap in ascending `(i, dk)` order.
+    pub(crate) fn conv_forward_oracle(c: &Conv1d, x: &[f32], len: usize, y: &mut Vec<f32>) {
+        let pad = c.k / 2;
+        y.clear();
+        y.resize(c.out_ch * len, 0.0);
+        for o in 0..c.out_ch {
+            let yo = &mut y[o * len..(o + 1) * len];
+            yo.fill(c.b[o]);
+            for i in 0..c.in_ch {
+                let xi = &x[i * len..(i + 1) * len];
+                let wbase = (o * c.in_ch + i) * c.k;
+                for dk in 0..c.k {
+                    let wv = c.w[wbase + dk];
+                    let t0 = pad.saturating_sub(dk);
+                    let t1 = (len + pad).saturating_sub(dk).min(len);
+                    for t in t0..t1 {
+                        yo[t] += wv * xi[t + dk - pad];
+                    }
+                }
+            }
+        }
+    }
+
+    /// One-sample dense forward, `y = W x + b`: each output a
+    /// zero-seeded dot product in ascending `i`, the bias added last.
+    pub(crate) fn dense_forward_oracle(d: &Dense, x: &[f32], y: &mut Vec<f32>) {
+        y.clear();
+        for o in 0..d.out_dim {
+            let row = &d.w[o * d.in_dim..(o + 1) * d.in_dim];
+            let mut dot = 0.0f32;
+            for (&w, &x) in row.iter().zip(x) {
+                dot += w * x;
+            }
+            y.push(dot + d.b[o]);
+        }
+    }
 
     impl Conv1d {
         /// One-sample backward pass. `gy` is the output gradient
@@ -1146,38 +1082,10 @@ pub(crate) mod reference {
 
 #[cfg(test)]
 mod tests {
+    use super::reference::{conv_forward_oracle, dense_forward_oracle};
     use super::*;
     use proptest::prelude::*;
     use rand::SeedableRng;
-
-    /// The pre-blocking scalar forward loop, kept verbatim as the
-    /// bit-parity oracle — including the `wv == 0.0` skip, which the
-    /// finite-input proptest's generators never trigger (weights are
-    /// drawn from ranges excluding exact zero).
-    fn conv_forward_oracle(c: &Conv1d, x: &[f32], len: usize, y: &mut Vec<f32>) {
-        let pad = c.k / 2;
-        y.clear();
-        y.resize(c.out_ch * len, 0.0);
-        for o in 0..c.out_ch {
-            let yo = &mut y[o * len..(o + 1) * len];
-            yo.fill(c.b[o]);
-            for i in 0..c.in_ch {
-                let xi = &x[i * len..(i + 1) * len];
-                let wbase = (o * c.in_ch + i) * c.k;
-                for dk in 0..c.k {
-                    let wv = c.w[wbase + dk];
-                    if wv == 0.0 {
-                        continue;
-                    }
-                    let t0 = pad.saturating_sub(dk);
-                    let t1 = (len + pad).saturating_sub(dk).min(len);
-                    for t in t0..t1 {
-                        yo[t] += wv * xi[t + dk - pad];
-                    }
-                }
-            }
-        }
-    }
 
     /// The pre-blocking scalar backward loop, kept verbatim as the
     /// bit-parity oracle.
@@ -1296,36 +1204,6 @@ mod tests {
     }
 
     proptest! {
-        /// The blocked forward kernel is bitwise equal to the old
-        /// scalar loops on finite inputs, across lengths that hit the
-        /// short-input, block-remainder, and multi-block paths.
-        #[test]
-        fn blocked_forward_is_bitwise_equal_to_scalar_oracle(
-            seed in 0u64..1000,
-            len in 1usize..40,
-            in_ch in 1usize..4,
-            out_ch in 1usize..4,
-            kk in 0usize..3,
-        ) {
-            let k = 2 * kk + 1;
-            let mut rng = StdRng::seed_from_u64(seed);
-            use rand::Rng;
-            let nz = |r: &mut StdRng| {
-                let v: f32 = r.gen_range(0.05f32..2.0);
-                if r.gen_range(0..2) == 0 { v } else { -v }
-            };
-            let ws: Vec<f32> = (0..out_ch * in_ch * k).map(|_| nz(&mut rng)).collect();
-            let bs: Vec<f32> = (0..out_ch).map(|_| nz(&mut rng)).collect();
-            let conv = conv_with_weights(in_ch, out_ch, k, &ws, &bs);
-            let x: Vec<f32> = (0..in_ch * len).map(|_| nz(&mut rng)).collect();
-            let (mut y, mut y_ref) = (Vec::new(), Vec::new());
-            conv.forward(&x, len, &mut y);
-            conv_forward_oracle(&conv, &x, len, &mut y_ref);
-            let bits: Vec<u32> = y.iter().map(|v| v.to_bits()).collect();
-            let bits_ref: Vec<u32> = y_ref.iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(bits, bits_ref);
-        }
-
         /// The restructured backward (split saxpy/reduction loops) is
         /// bitwise equal to the old fused scalar loop on finite
         /// inputs.
@@ -1362,9 +1240,40 @@ mod tests {
             prop_assert_eq!(b(&gb), b(&gb_ref));
         }
 
+        /// The register-blocked forward kernel is bitwise equal to the
+        /// scalar reference on every lane, on every instruction set
+        /// this CPU runs, with ±0.0, NaN and ±∞ in the weights, biases
+        /// and inputs — zero taps included, whose `0 · ∞` is NaN.
+        #[test]
+        fn blocked_forward_is_bitwise_equal_to_scalar_oracle(
+            seed in 0u64..1000,
+            len in 1usize..40,
+            in_ch in 1usize..9,
+            out_ch in 1usize..9,
+            kk in 0usize..3,
+            mode in 1usize..3,
+        ) {
+            let k = 2 * kk + 1;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut conv = Conv1d::new(in_ch, out_ch, k, &mut rng);
+            conv.w = (0..conv.w.len()).map(|_| value(&mut rng, mode)).collect::<Vec<_>>().into();
+            conv.b = (0..out_ch).map(|_| value(&mut rng, mode)).collect::<Vec<_>>().into();
+            let xs = samples(&mut rng, in_ch * len, LANES, mode);
+            let xt = lane_major(&xs);
+            for isa in isas() {
+                let mut yt = Vec::new();
+                conv.forward_lanes_on(isa, &xt, len, &mut yt);
+                for (j, x) in xs.iter().enumerate() {
+                    let mut y = Vec::new();
+                    conv_forward_oracle(&conv, x, len, &mut y);
+                    prop_assert_eq!(nan_bits(&lane(&yt, j)), nan_bits(&y), "{:?} lane {}", isa, j);
+                }
+            }
+        }
+
         /// Lane `j` of `Conv1d::forward_lanes` is bitwise equal to
-        /// `Conv1d::forward` on sample `j`, on every instruction set
-        /// this CPU runs, across channel counts that leave every
+        /// the scalar reference on sample `j`, on every instruction
+        /// set this CPU runs, across channel counts that leave every
         /// register-block remainder and lengths shorter than, equal to
         /// and longer than the kernel.
         #[test]
@@ -1389,7 +1298,7 @@ mod tests {
                 prop_assert_eq!(yt.len(), out_ch * len * LANES);
                 for (j, s) in samples.iter().enumerate() {
                     let mut y = Vec::new();
-                    conv.forward(s, len, &mut y);
+                    conv_forward_oracle(&conv, s, len, &mut y);
                     for (e, v) in y.iter().enumerate() {
                         prop_assert_eq!(yt[e * LANES + j].to_bits(), v.to_bits(), "{:?} lane {} element {}", isa, j, e);
                     }
@@ -1439,30 +1348,29 @@ mod tests {
         }
 
         /// `Dense::forward_batch` lanes are bitwise equal to 8
-        /// independent `Dense::forward` calls, on every instruction
-        /// set this CPU runs.
+        /// independent scalar reference passes, on every instruction
+        /// set this CPU runs, with ±0.0, NaN and ±∞ in the weights,
+        /// biases and inputs.
         #[test]
         fn dense_forward_batch_lanes_match_single_sample_path(
             seed in 0u64..1000,
             in_dim in 1usize..24,
             out_dim in 1usize..20,
+            mode in 0usize..3,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let dense = Dense::new(in_dim, out_dim, &mut rng);
-            use rand::Rng;
-            let samples: Vec<Vec<f32>> = (0..LANES)
-                .map(|_| (0..in_dim).map(|_| rng.gen_range(-2.0f32..2.0)).collect())
-                .collect();
-            let xt = lane_major(&samples);
+            let mut dense = Dense::new(in_dim, out_dim, &mut rng);
+            dense.w = (0..dense.w.len()).map(|_| value(&mut rng, mode)).collect::<Vec<_>>().into();
+            dense.b = (0..out_dim).map(|_| value(&mut rng, mode)).collect::<Vec<_>>().into();
+            let xs = samples(&mut rng, in_dim, LANES, mode);
+            let xt = lane_major(&xs);
             for isa in isas() {
                 let mut out = Vec::new();
                 dense.forward_batch_on(isa, &xt, &mut out);
-                for (j, s) in samples.iter().enumerate() {
+                for (j, x) in xs.iter().enumerate() {
                     let mut y = Vec::new();
-                    dense.forward(s, &mut y);
-                    for o in 0..out_dim {
-                        prop_assert_eq!(out[o * LANES + j].to_bits(), y[o].to_bits());
-                    }
+                    dense_forward_oracle(&dense, x, &mut y);
+                    prop_assert_eq!(nan_bits(&lane(&out, j)), nan_bits(&y), "{:?} lane {}", isa, j);
                 }
             }
         }
@@ -1562,9 +1470,11 @@ mod tests {
             }
         }
 
-        /// Lane `j` of the training max-pool and its backward is
-        /// bitwise equal to the one-sample argmax pool and its
-        /// gradient routing, ties, signed zeros and NaN included.
+        /// Lane `j` of the inference and training max-pools and of
+        /// the backward is bitwise equal to the one-sample argmax pool
+        /// and its gradient routing, ties, signed zeros and NaN
+        /// included, the inference pool on every instruction set this
+        /// CPU runs.
         #[test]
         fn maxpool_lanes_backward_matches_single_sample_path(
             seed in 0u64..1000,
@@ -1574,8 +1484,17 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let xs = samples(&mut rng, channels * len, LANES, 2);
             let gys = samples(&mut rng, channels * (len / 2), LANES, 2);
+            let xt = lane_major(&xs);
+            for isa in isas() {
+                let mut yt = Vec::new();
+                maxpool2_lanes_on(isa, &xt, channels, len, &mut yt, None);
+                for (j, x) in xs.iter().enumerate() {
+                    let (y, _) = reference::maxpool2_argmax(x, channels, len);
+                    prop_assert_eq!(nan_bits(&lane(&yt, j)), nan_bits(&y), "{:?} lane {} y", isa, j);
+                }
+            }
             let (mut yt, mut left, mut gxt) = (Vec::new(), Vec::new(), Vec::new());
-            maxpool2_lanes_train(&lane_major(&xs), channels, len, &mut yt, &mut left);
+            maxpool2_lanes_train(&xt, channels, len, &mut yt, &mut left);
             if len >= 2 {
                 maxpool2_lanes_backward(&lane_major(&gys), &left, channels, len, &mut gxt);
             } else {
@@ -1588,6 +1507,30 @@ mod tests {
                 prop_assert_eq!(nan_bits(&lane(&gxt, j)), nan_bits(&gx), "lane {} gx", j);
             }
         }
+    }
+
+    /// Forward passes whose every term is `-0.0`, with `-0.0` biases:
+    /// the dense chain is zero-seeded and the conv chain bias-seeded,
+    /// so the zero signs come out as the scalar references give them
+    /// (random inputs almost never reach this case).
+    #[test]
+    fn negative_zero_forwards_match_single_sample_path() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let len = 6;
+        let x: Vec<f32> = (0..2 * len).map(|_| rng.gen_range(0.5f32..1.0)).collect();
+        let mut conv = Conv1d::new(2, 3, 3, &mut rng);
+        conv.w = vec![-0.0; conv.w.len()].into();
+        conv.b = vec![-0.0; 3].into();
+        let mut dense = Dense::new(2 * len, 3, &mut rng);
+        dense.w = vec![-0.0; dense.w.len()].into();
+        dense.b = vec![-0.0; 3].into();
+        let (mut y, mut yt) = (Vec::new(), Vec::new());
+        conv_forward_oracle(&conv, &x, len, &mut y);
+        conv.forward_lanes(&lane0_tile(&x), len, &mut yt);
+        assert_eq!(nan_bits(&lane(&yt, 0)), nan_bits(&y), "conv");
+        dense_forward_oracle(&dense, &x, &mut y);
+        dense.forward_batch(&lane0_tile(&x), &mut yt);
+        assert_eq!(nan_bits(&lane(&yt, 0)), nan_bits(&y), "dense");
     }
 
     /// All-`-0.0` output gradients into `-0.0` accumulators: the
@@ -1639,7 +1582,7 @@ mod tests {
         let len = 5;
         let x = vec![1.0, f32::INFINITY, 2.0, 3.0, 4.0];
         let mut y = Vec::new();
-        conv.forward(&x, len, &mut y);
+        conv_forward_oracle(&conv, &x, len, &mut y);
         // The ∞ column reaches outputs through all three taps; the
         // zero taps contribute 0·∞ = NaN to the neighbours instead of
         // being skipped.
@@ -1686,8 +1629,10 @@ mod tests {
                 "forward/backward disagree on non-finite handling at column {t}"
             );
         }
-        // The lane kernel computes the same input gradient.
-        let mut gxt = Vec::new();
+        // The lane kernels compute the same output and input gradient.
+        let (mut yt, mut gxt) = (Vec::new(), Vec::new());
+        conv.forward_lanes(&lane0_tile(&x), len, &mut yt);
+        assert_eq!(nan_bits(&lane(&yt, 0)), nan_bits(&y));
         conv.input_grad_lanes(&lane0_tile(&gy), len, &mut gxt);
         assert_eq!(nan_bits(&lane(&gxt, 0)), nan_bits(&gx));
     }
@@ -1700,8 +1645,11 @@ mod tests {
         conv.b = vec![0.0].into();
         let x = vec![1.0, 2.0, 3.0, 4.0];
         let mut y = Vec::new();
-        conv.forward(&x, 4, &mut y);
+        conv_forward_oracle(&conv, &x, 4, &mut y);
         assert_eq!(y, x);
+        let mut yt = Vec::new();
+        conv.forward_lanes(&lane0_tile(&x), 4, &mut yt);
+        assert_eq!(lane(&yt, 0), x);
     }
 
     #[test]
@@ -1711,7 +1659,7 @@ mod tests {
         let len = 5;
         let x: Vec<f32> = (0..2 * len).map(|i| (i as f32 * 0.3).sin()).collect();
         let mut y = Vec::new();
-        conv.forward(&x, len, &mut y);
+        conv_forward_oracle(&conv, &x, len, &mut y);
         // Loss = sum(y^2)/2, so gy = y.
         let gy = y.clone();
         let mut gx = Vec::new();
@@ -1736,7 +1684,7 @@ mod tests {
         let eps = 1e-3f32;
         let loss = |c: &Conv1d, x: &[f32]| {
             let mut yy = Vec::new();
-            c.forward(x, len, &mut yy);
+            conv_forward_oracle(c, x, len, &mut yy);
             yy.iter().map(|v| v * v).sum::<f32>() / 2.0
         };
         for (gw, gx) in [(gw, gx), (gw_t, lane(&gxt, 0))] {
@@ -1780,7 +1728,7 @@ mod tests {
         let dense = Dense::new(4, 3, &mut rng);
         let x = vec![0.5, -0.2, 0.8, 0.1];
         let mut y = Vec::new();
-        dense.forward(&x, &mut y);
+        dense_forward_oracle(&dense, &x, &mut y);
         let gy = y.clone();
         let mut gx = Vec::new();
         let mut gw = vec![0.0; dense.w.len()];
@@ -1794,7 +1742,7 @@ mod tests {
         dense.input_grad_batch(&lane0_tile(&gy), &mut gxt);
         let loss = |d: &Dense, x: &[f32]| {
             let mut yy = Vec::new();
-            d.forward(x, &mut yy);
+            dense_forward_oracle(d, x, &mut yy);
             yy.iter().map(|v| v * v).sum::<f32>() / 2.0
         };
         let eps = 1e-3f32;
@@ -1827,7 +1775,11 @@ mod tests {
     #[test]
     fn maxpool_and_backward() {
         let x = vec![1.0, 3.0, 2.0, 0.0, /* ch2 */ 5.0, 4.0, 7.0, 8.0];
-        assert_eq!(maxpool2(&x, 2, 4), vec![3.0, 2.0, 5.0, 8.0]);
+        let (y, _) = reference::maxpool2_argmax(&x, 2, 4);
+        assert_eq!(y, vec![3.0, 2.0, 5.0, 8.0]);
+        let mut yt = Vec::new();
+        maxpool2_lanes(&lane0_tile(&x), 2, 4, &mut yt);
+        assert_eq!(lane(&yt, 0), vec![3.0, 2.0, 5.0, 8.0]);
         let (mut yt, mut left, mut gxt) = (Vec::new(), Vec::new(), Vec::new());
         maxpool2_lanes_train(&lane0_tile(&x), 2, 4, &mut yt, &mut left);
         assert_eq!(lane(&yt, 0), vec![3.0, 2.0, 5.0, 8.0]);

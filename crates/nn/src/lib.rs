@@ -10,15 +10,20 @@
 //! [`layers::LANES`] = 8 samples, where the sample is the innermost
 //! index and every arithmetic op is an 8-wide SIMD op; the lane
 //! kernels are register-blocked and run the AVX2 build on CPUs that
-//! have it. Training splits each minibatch into 8-sample shards, runs
-//! each shard as one tile — forward, then the backward kernels, with
-//! the first convolution's input gradient skipped because the
-//! embeddings are frozen — and reduces the shard gradients in shard
-//! order across CPU cores. Every float chain is the one a one-sample
-//! pass computes, so the trained weights are bitwise those of
-//! training sample by sample, for any thread count; the tests pin this
-//! against a kept copy of the one-sample trainer and check the
-//! gradients against finite differences.
+//! have it. There is one inference path, [`predict_fused`] (with
+//! [`TextCnn::predict_batch`] its one-model case): a single row is
+//! classified as a batch of one. Training splits each minibatch into
+//! 8-sample shards, runs each shard as one tile — forward, then the
+//! backward kernels, with the first convolution's input gradient
+//! skipped because the embeddings are frozen — and reduces the shard
+//! gradients in shard order across CPU cores. Every float chain is the
+//! one a one-sample pass computes, so predictions do not depend on the
+//! batch around a row and the trained weights are bitwise those of
+//! training sample by sample, for any thread count. The one-sample
+//! forward and backward passes are kept only as test-only scalar
+//! references: the tests pin every lane kernel, the fused pass and the
+//! tile trainer to them and check the gradients against finite
+//! differences.
 //!
 //! # Example
 //!
@@ -53,9 +58,7 @@ pub mod param;
 pub mod tensor;
 
 pub use mmap::{MapSlice, MappedFile};
-pub use model::{
-    predict_fused, NoHook, SampleSource, TextCnn, TextCnnConfig, TrainHook, Workspace,
-};
+pub use model::{predict_fused, NoHook, SampleSource, TextCnn, TextCnnConfig, TrainHook};
 pub use optim::{Adam, GradBuffers, Sgd};
 pub use param::ParamBuf;
 pub use tensor::{argmax, fill_rows, Rows, Tensor};

@@ -7,8 +7,8 @@
 //! tests can run a tiny instance.
 
 use crate::layers::{
-    cross_entropy_backward, maxpool2, maxpool2_lanes, maxpool2_lanes_backward,
-    maxpool2_lanes_train, relu, relu_backward, softmax, Conv1d, Dense, LANES,
+    cross_entropy_backward, maxpool2_lanes, maxpool2_lanes_backward, maxpool2_lanes_train, relu,
+    relu_backward, softmax, Conv1d, Dense, LANES,
 };
 use crate::optim::{Adam, GradBuffers};
 use crate::param::ParamBuf;
@@ -146,18 +146,6 @@ pub struct TextCnn {
     fc2: Dense,
 }
 
-/// Per-sample forward activations of [`TextCnn::forward`], reused
-/// across calls.
-#[derive(Debug, Default, Clone)]
-pub struct Workspace {
-    c1: Vec<f32>,
-    p1: Vec<f32>,
-    c2: Vec<f32>,
-    p2: Vec<f32>,
-    h: Vec<f32>,
-    logits: Vec<f32>,
-}
-
 /// Per-thread scratch of the fused tile pass ([`predict_fused`]): the
 /// lane-major activation tiles of one [`LANES`]-sample tile, reused by
 /// every model and every tile a worker runs.
@@ -235,10 +223,9 @@ struct TrainScratch {
 /// concatenation of every model's softmax probabilities, in model
 /// order, and writes the row's `cols` outputs.
 ///
-/// Per-sample accumulation chains are those of the one-sample path, so
-/// each model's probabilities are bitwise identical to
-/// [`TextCnn::predict`] on that row, whatever the tile, lane or worker
-/// count.
+/// Each lane keeps one row's float chains and rows never mix, so a
+/// row's probabilities are the same bits whatever the tile, lane or
+/// worker count; the tests pin them to a scalar one-sample forward.
 ///
 /// # Panics
 ///
@@ -449,34 +436,9 @@ impl TextCnn {
         ]
     }
 
-    /// Forward pass into `ws`; returns the logits slice.
-    pub fn forward<'w>(&self, x: &[f32], ws: &'w mut Workspace) -> &'w [f32] {
-        let len = self.cfg.seq_len;
-        self.conv1.forward(x, len, &mut ws.c1);
-        relu(&mut ws.c1);
-        ws.p1 = maxpool2(&ws.c1, self.cfg.conv1, len);
-        let len2 = len / 2;
-        self.conv2.forward(&ws.p1, len2, &mut ws.c2);
-        relu(&mut ws.c2);
-        ws.p2 = maxpool2(&ws.c2, self.cfg.conv2, len2);
-        self.fc1.forward(&ws.p2, &mut ws.h);
-        relu(&mut ws.h);
-        self.fc2.forward(&ws.h, &mut ws.logits);
-        &ws.logits
-    }
-
-    /// Class probabilities for one input.
-    pub fn predict(&self, x: &[f32]) -> Vec<f32> {
-        let mut ws = Workspace::default();
-        self.forward(x, &mut ws);
-        let mut probs = ws.logits;
-        softmax(&mut probs);
-        probs
-    }
-
     /// Class probabilities for a batch of inputs, written into one
-    /// flat `n × classes` [`Tensor`]. Row `i` equals
-    /// `predict(row i)` bitwise. Inputs are anything implementing
+    /// flat `n × classes` [`Tensor`]. Row `i` is bitwise the
+    /// prediction of row `i` alone. Inputs are anything implementing
     /// [`Rows`] — a [`Tensor`], owned rows, or borrowed rows
     /// (`Vec<&[f32]>`), so callers can batch a selected subset of a
     /// table without copying it.
@@ -744,9 +706,9 @@ mod tests {
         let cfg = TextCnnConfig::tiny(6, 3);
         let model = TextCnn::new(cfg, 7);
         let x = vec![0.5; cfg.embed_dim * cfg.seq_len];
-        let probs = model.predict(&x);
-        assert_eq!(probs.len(), 3);
-        assert!((probs.iter().sum::<f32>() - 1.0).abs() < 1e-5);
+        let probs = model.predict_batch(std::slice::from_ref(&x));
+        assert_eq!((probs.rows(), probs.cols()), (1, 3));
+        assert!((probs.row(0).iter().sum::<f32>() - 1.0).abs() < 1e-5);
     }
 
     #[test]
@@ -789,27 +751,50 @@ mod tests {
         assert!(last < first, "loss did not decrease: {first} -> {last}");
     }
 
+    /// The inference benchmark's medium widths: channel and output
+    /// counts that fill whole register blocks.
+    fn medium() -> TextCnnConfig {
+        TextCnnConfig {
+            seq_len: 21,
+            embed_dim: 48,
+            conv1: 16,
+            conv2: 32,
+            fc: 256,
+            classes: 9,
+        }
+    }
+
+    /// Odd widths, so every channel, column and output remainder path
+    /// of the register-blocked kernels runs.
+    fn odd(classes: usize) -> TextCnnConfig {
+        TextCnnConfig {
+            seq_len: 21,
+            embed_dim: 5,
+            conv1: 5,
+            conv2: 7,
+            fc: 13,
+            classes,
+        }
+    }
+
+    /// The fused tile pass is bitwise the scalar one-sample forward
+    /// and softmax of the oracle, on every row of two full tiles and a
+    /// partial one, at tiny, medium and odd widths.
     #[test]
     fn predict_batch_is_bitwise_equal_to_per_sample_predict() {
-        let cfg = TextCnnConfig::tiny(4, 5);
-        let model = TextCnn::new(cfg, 21);
-        // 19 rows: two full 8-lane tiles plus a 3-row tail.
-        let mut rng = StdRng::seed_from_u64(77);
-        use rand::Rng;
-        let rows: Vec<Vec<f32>> = (0..19)
-            .map(|_| {
-                (0..cfg.embed_dim * cfg.seq_len)
-                    .map(|_| rng.gen_range(-1.5f32..1.5))
-                    .collect()
-            })
-            .collect();
-        let batch = model.predict_batch(&rows);
-        assert_eq!((batch.rows(), batch.cols()), (19, 5));
-        for (i, row) in rows.iter().enumerate() {
-            let single = model.predict(row);
-            let a: Vec<u32> = batch.row(i).iter().map(|v| v.to_bits()).collect();
-            let b: Vec<u32> = single.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(a, b, "tiled batch row {i} diverges from predict()");
+        for cfg in [TextCnnConfig::tiny(4, 5), medium(), odd(3), odd(19)] {
+            let model = TextCnn::new(cfg, 21);
+            // 19 rows: two full 8-lane tiles plus a 3-row tail.
+            let data = toy_dataset(cfg, 19);
+            let rows: Vec<&Vec<f32>> = data.iter().map(|(x, _)| x).collect();
+            let batch = model.predict_batch(&rows);
+            assert_eq!((batch.rows(), batch.cols()), (19, cfg.classes));
+            for (i, row) in rows.iter().enumerate() {
+                let single = oracle::predict(&model, row);
+                let a: Vec<u32> = batch.row(i).iter().map(|v| v.to_bits()).collect();
+                let b: Vec<u32> = single.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(a, b, "{cfg:?}: batch row {i} diverges from the oracle");
+            }
         }
     }
 
@@ -820,17 +805,19 @@ mod tests {
         let bufs = model.params().map(|t| ParamBuf::from(t.to_vec())).to_vec();
         let restored = TextCnn::from_param_bufs(model.cfg, bufs).unwrap();
         assert_eq!(restored, model);
-        let x = vec![0.25; cfg.embed_dim * cfg.seq_len];
-        assert_eq!(model.predict(&x), restored.predict(&x));
+        let x = vec![vec![0.25; cfg.embed_dim * cfg.seq_len]];
+        assert_eq!(model.predict_batch(&x), restored.predict_batch(&x));
     }
 
-    /// The trainer before it moved onto lane-major tiles — every
-    /// sample through the one-sample backward pass, a fresh
-    /// `GradBuffers` per 8-sample shard — kept verbatim as the parity
-    /// oracle of the tile trainer.
+    /// The one-sample forward and the trainer before it moved onto
+    /// lane-major tiles — every sample through the one-sample backward
+    /// pass, a fresh `GradBuffers` per 8-sample shard — kept as the
+    /// parity oracles of the fused inference pass and the tile trainer.
     mod oracle {
         use super::super::*;
-        use crate::layers::reference::{maxpool2_argmax, maxpool2_backward};
+        use crate::layers::reference::{
+            conv_forward_oracle, dense_forward_oracle, maxpool2_argmax, maxpool2_backward,
+        };
         use rayon::prelude::*;
 
         #[derive(Default)]
@@ -851,20 +838,28 @@ mod tests {
 
         fn forward(m: &TextCnn, x: &[f32], ws: &mut Workspace) {
             let len = m.cfg.seq_len;
-            m.conv1.forward(x, len, &mut ws.c1);
+            conv_forward_oracle(&m.conv1, x, len, &mut ws.c1);
             relu(&mut ws.c1);
             let (p1, a1) = maxpool2_argmax(&ws.c1, m.cfg.conv1, len);
             ws.p1 = p1;
             ws.a1 = a1;
             let len2 = len / 2;
-            m.conv2.forward(&ws.p1, len2, &mut ws.c2);
+            conv_forward_oracle(&m.conv2, &ws.p1, len2, &mut ws.c2);
             relu(&mut ws.c2);
             let (p2, a2) = maxpool2_argmax(&ws.c2, m.cfg.conv2, len2);
             ws.p2 = p2;
             ws.a2 = a2;
-            m.fc1.forward(&ws.p2, &mut ws.h);
+            dense_forward_oracle(&m.fc1, &ws.p2, &mut ws.h);
             relu(&mut ws.h);
-            m.fc2.forward(&ws.h, &mut ws.logits);
+            dense_forward_oracle(&m.fc2, &ws.h, &mut ws.logits);
+        }
+
+        /// Class probabilities of one input.
+        pub(super) fn predict(m: &TextCnn, x: &[f32]) -> Vec<f32> {
+            let mut ws = Workspace::default();
+            forward(m, x, &mut ws);
+            softmax(&mut ws.logits);
+            ws.logits
         }
 
         fn backward(
@@ -997,22 +992,6 @@ mod tests {
     /// a decoding one.
     #[test]
     fn tile_training_is_bitwise_equal_to_per_sample_training() {
-        let odd = |classes| TextCnnConfig {
-            seq_len: 21,
-            embed_dim: 5,
-            conv1: 5,
-            conv2: 7,
-            fc: 13,
-            classes,
-        };
-        let medium = TextCnnConfig {
-            seq_len: 21,
-            embed_dim: 48,
-            conv1: 16,
-            conv2: 32,
-            fc: 256,
-            classes: 9,
-        };
         let pools: Vec<_> = [1, 3]
             .map(|n| {
                 rayon::ThreadPoolBuilder::new()
@@ -1021,7 +1000,7 @@ mod tests {
                     .unwrap()
             })
             .into();
-        for cfg in [TextCnnConfig::tiny(4, 2), medium, odd(3), odd(19)] {
+        for cfg in [TextCnnConfig::tiny(4, 2), medium(), odd(3), odd(19)] {
             for n in [1, 7, 9, 37] {
                 let mut data = toy_dataset(cfg, n);
                 for (i, (_, label)) in data.iter_mut().enumerate() {

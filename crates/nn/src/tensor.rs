@@ -151,48 +151,8 @@ impl Tensor {
         init: impl Fn() -> S + Sync,
         fill: impl Fn(&mut S, usize, &mut [f32]) + Sync,
     ) -> Tensor {
-        let block = block.max(1);
         let mut out = Tensor::zeros(rows, cols);
-        if rows == 0 || cols == 0 {
-            return out;
-        }
-        let nblocks = rows.div_ceil(block);
-        let workers = rayon::current_num_threads().clamp(1, nblocks);
-        let run = |state: &mut S, first: usize, chunk: &mut [f32]| {
-            let mut row = first;
-            for piece in chunk.chunks_mut(block * cols) {
-                fill(state, row, piece);
-                row += piece.len() / cols;
-            }
-        };
-        if workers == 1 {
-            let mut state = init();
-            run(&mut state, 0, &mut out.data);
-            return out;
-        }
-        // One contiguous run of whole blocks per worker; disjoint
-        // mutable splits, no unsafe.
-        let per_worker = nblocks.div_ceil(workers) * block;
-        let mut spans: Vec<(usize, &mut [f32])> = Vec::with_capacity(workers);
-        let mut rest: &mut [f32] = &mut out.data;
-        let mut start = 0usize;
-        while start < rows {
-            let take = per_worker.min(rows - start);
-            let (head, tail) = rest.split_at_mut(take * cols);
-            spans.push((start, head));
-            rest = tail;
-            start += take;
-        }
-        std::thread::scope(|s| {
-            for (first, span) in spans {
-                let init = &init;
-                let run = &run;
-                s.spawn(move || {
-                    let mut state = init();
-                    run(&mut state, first, span);
-                });
-            }
-        });
+        fill_row_blocks(&mut out.data, cols, block, init, fill);
         out
     }
 
@@ -301,29 +261,44 @@ pub fn fill_rows<S>(
     init: impl Fn() -> S + Sync,
     fill: impl Fn(&mut S, usize, &mut [f32]) + Sync,
 ) {
+    fill_row_blocks(data, cols, 1, init, fill);
+}
+
+/// The one row-fill split behind [`fill_rows`] (`block = 1`),
+/// [`Tensor::build_rows`] and [`Tensor::build_row_blocks`]: `data`'s
+/// rows go in blocks of up to `block` rows, `fill(state, first_row,
+/// chunk)` writing each block's `n × cols` flat slice. With more than
+/// one worker, each takes one contiguous run of whole blocks on its
+/// own scoped thread, with its own `init()` state; the split depends
+/// on the row count and the thread count only, and never cuts a block.
+fn fill_row_blocks<S>(
+    data: &mut [f32],
+    cols: usize,
+    block: usize,
+    init: impl Fn() -> S + Sync,
+    fill: impl Fn(&mut S, usize, &mut [f32]) + Sync,
+) {
     if data.is_empty() || cols == 0 {
         return;
     }
     assert_eq!(data.len() % cols, 0, "block of whole {cols}-float rows");
-    let rows = data.len() / cols;
-    let workers = rayon::current_num_threads().clamp(1, rows);
-    if workers == 1 {
-        let mut state = init();
-        for (i, row) in data.chunks_mut(cols).enumerate() {
-            fill(&mut state, i, row);
+    let (rows, block) = (data.len() / cols, block.max(1));
+    let run = |state: &mut S, first: usize, span: &mut [f32]| {
+        for (b, chunk) in span.chunks_mut(block * cols).enumerate() {
+            fill(state, first + b * block, chunk);
         }
+    };
+    let nblocks = rows.div_ceil(block);
+    let workers = rayon::current_num_threads().clamp(1, nblocks);
+    if workers == 1 {
+        run(&mut init(), 0, data);
         return;
     }
-    let per_worker = rows.div_ceil(workers);
+    let per_worker = nblocks.div_ceil(workers) * block;
     std::thread::scope(|s| {
-        for (w, block) in data.chunks_mut(per_worker * cols).enumerate() {
-            let (init, fill) = (&init, &fill);
-            s.spawn(move || {
-                let mut state = init();
-                for (j, row) in block.chunks_mut(cols).enumerate() {
-                    fill(&mut state, w * per_worker + j, row);
-                }
-            });
+        for (w, span) in data.chunks_mut(per_worker * cols).enumerate() {
+            let (init, run) = (&init, &run);
+            s.spawn(move || run(&mut init(), w * per_worker, span));
         }
     });
 }

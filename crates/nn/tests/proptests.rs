@@ -1,7 +1,7 @@
 //! Property tests on the NN stack: numerical invariants hold for
 //! arbitrary inputs and shapes.
 
-use cati_nn::{layers, Adam, TextCnn, TextCnnConfig, Workspace};
+use cati_nn::{layers, Adam, TextCnn, TextCnnConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,9 +49,9 @@ proptest! {
         let x: Vec<f32> = (0..cfg.embed_dim * cfg.seq_len)
             .map(|i| ((i as f32).sin()) * scale)
             .collect();
-        let probs = model.predict(&x);
-        prop_assert!(probs.iter().all(|p| p.is_finite()));
-        let sum: f32 = probs.iter().sum();
+        let probs = model.predict_batch(std::slice::from_ref(&x));
+        prop_assert!(probs.row(0).iter().all(|p| p.is_finite()));
+        let sum: f32 = probs.row(0).iter().sum();
         prop_assert!((sum - 1.0).abs() < 1e-3);
     }
 
@@ -59,7 +59,11 @@ proptest! {
     fn maxpool_output_bounds_input(x in proptest::collection::vec(-100.0f32..100.0, 8..64)) {
         let len = x.len() / 2 * 2; // even prefix
         let x = &x[..len];
-        let y = layers::maxpool2(x, 1, len);
+        // The same sample in every lane of the tile.
+        let xt: Vec<f32> = x.iter().flat_map(|&v| [v; layers::LANES]).collect();
+        let mut yt = Vec::new();
+        layers::maxpool2_lanes(&xt, 1, len, &mut yt);
+        let y: Vec<f32> = yt.iter().step_by(layers::LANES).copied().collect();
         prop_assert_eq!(y.len(), len / 2);
         for (i, v) in y.iter().enumerate() {
             let (a, b) = (x[2 * i], x[2 * i + 1]);
@@ -79,8 +83,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let loss = model.train_epoch(&data, &mut opt, 4, &mut rng);
         prop_assert!(loss.is_finite());
-        let mut ws = Workspace::default();
-        let logits = model.forward(&data[0].0, &mut ws);
-        prop_assert!(logits.iter().all(|v| v.is_finite()));
+        let probs = model.predict_batch(std::slice::from_ref(&data[0].0));
+        prop_assert!(probs.row(0).iter().all(|v| v.is_finite()));
     }
 }
