@@ -1,7 +1,7 @@
 //! Instructions and operands.
 
 use crate::mnemonic::{Kind, Mnemonic};
-use crate::reg::{Gpr, Width, Xmm};
+use crate::reg::{Gpr, Xmm};
 use serde::{Deserialize, Serialize};
 
 /// A memory reference `disp(base, index, scale)` in AT&T terms.
@@ -219,14 +219,6 @@ impl Insn {
             Operand::Addr(a) => Some(*a),
             _ => None,
         })
-    }
-
-    /// The width implied by the first GPR operand, used for suffix
-    /// elision and for re-resolving parsed base names.
-    pub fn gpr_width_hint(&self) -> Option<Width> {
-        self.operands
-            .iter()
-            .find_map(|o| o.as_gpr().map(Gpr::width))
     }
 
     /// Whether any operand is a GPR or XMM register (objdump elides

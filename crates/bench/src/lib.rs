@@ -287,14 +287,6 @@ pub fn load_ctx_observed(scale: Scale, compiler: Compiler, obs: &dyn Observer) -
     }
 }
 
-/// [`load_ctx_observed`] with progress mirrored to stderr and no
-/// further telemetry — the drop-in for experiments that manage their
-/// own observer separately.
-pub fn load_ctx(scale: Scale, compiler: Compiler) -> Ctx {
-    let obs = cati::obs::FnObserver(|line: &str| eprintln!("[ctx] {line}"));
-    load_ctx_observed(scale, compiler, &obs)
-}
-
 /// The 12 test application names, in the paper's column order.
 pub const TEST_APPS: [&str; 12] = [
     "bash",

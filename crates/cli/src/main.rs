@@ -988,8 +988,10 @@ cache_hits / cache_misses in the run manifest.
 Model format:
   Models are CATI1 v2 files — a versioned, checksummed binary
   container (magic header, section table, flat little-endian f32
-  weight tensors, each 64-byte aligned so loading memory-maps the
-  weights zero-copy). It is the only format `cati` reads or writes;
+  weight tensors, each 64-byte aligned). Loading reads the whole file,
+  verifies its checksums and copies the weights, so rewriting the file
+  later does not touch a loaded model. It is the only format `cati`
+  reads or writes;
   any other file, or any other container version, is refused with
   what was found.
 

@@ -19,9 +19,15 @@
 //! therefore finishes byte-identical to an uninterrupted one — the
 //! contract `tests/streaming_train.rs` asserts at every epoch
 //! boundary.
+//!
+//! The trained embedder is written once, to `embedder.cati`: a CATI1
+//! container holding the model container's `w2v` and `vocab` meta
+//! entries and its two Word2Vec matrices, so model weights have one
+//! on-disk form.
 
-use crate::artifact_cache::{open_envelope, seal_envelope};
-use crate::model_io::{decode_meta_tensors, encode_meta_tensors, save_bytes_atomic};
+use crate::model_io::{
+    decode_embedder, decode_meta_tensors, encode_embedder, encode_meta_tensors, save_bytes_atomic,
+};
 use cati_dwarf::StageId;
 use cati_embedding::VucEmbedder;
 use cati_nn::{Adam, TextCnn, TextCnnConfig};
@@ -155,7 +161,7 @@ impl CheckpointDir {
     }
 
     fn embedder_path(&self) -> PathBuf {
-        self.dir.join("embedder.json")
+        self.dir.join("embedder.cati")
     }
 
     /// Atomically writes the post-epoch checkpoint of `stage`.
@@ -222,7 +228,7 @@ impl CheckpointDir {
             detail,
         };
         let (meta_bytes, mut tensors) = decode_meta_tensors(&bytes).map_err(corrupt)?;
-        let meta: CkptMeta = serde_json::from_slice(&meta_bytes)
+        let meta: CkptMeta = serde_json::from_slice(meta_bytes)
             .map_err(|e| corrupt(format!("meta is not a checkpoint record: {e}")))?;
         if meta.format != CHECKPOINT_FORMAT {
             return Err(corrupt(format!("format {} unsupported", meta.format)));
@@ -253,18 +259,18 @@ impl CheckpointDir {
         let mut take = |name: &str| -> Result<Vec<f32>, CheckpointError> {
             tensors
                 .remove(name)
-                .map(|b| b.as_slice().to_vec())
                 .ok_or_else(|| CheckpointError::Corrupt {
                     path: path.clone(),
                     detail: format!("missing tensor {name}"),
                 })
         };
-        let params: Vec<cati_nn::ParamBuf> = (0..8)
-            .map(|k| take(&format!("p{k}")).map(cati_nn::ParamBuf::from))
-            .collect::<Result<_, _>>()?;
+        let mut params: [Vec<f32>; 8] = Default::default();
+        for (k, p) in params.iter_mut().enumerate() {
+            *p = take(&format!("p{k}"))?;
+        }
         let m = take("adam.m")?;
         let v = take("adam.v")?;
-        let model = TextCnn::from_param_bufs(cnn_cfg, params)
+        let model = TextCnn::from_params(cnn_cfg, params)
             .map_err(|e| corrupt(format!("stage weights: {e}")))?;
         let opt = Adam::from_state(meta.lr, meta.adam_t, m, v);
         let mut words = [0u64; 4];
@@ -282,21 +288,13 @@ impl CheckpointDir {
         }))
     }
 
-    /// Persists the trained embedder (envelope-sealed JSON), so a
-    /// resumed run skips the extraction + Word2Vec phase and loads
-    /// the bit-exact embedder instead.
+    /// Persists the trained embedder as a CATI1 container (its
+    /// Word2Vec config, vocabulary and two matrices), so a resumed run
+    /// skips the extraction + Word2Vec phase and loads the bit-exact
+    /// embedder instead.
     pub fn save_embedder(&self, embedder: &VucEmbedder) -> Result<(), CheckpointError> {
         let path = self.embedder_path();
-        let payload = match serde_json::to_vec(embedder) {
-            Ok(p) => p,
-            Err(e) => {
-                return Err(CheckpointError::Corrupt {
-                    path,
-                    detail: format!("embedder failed to serialize: {e}"),
-                })
-            }
-        };
-        save_bytes_atomic(&seal_envelope(&payload), &path)
+        save_bytes_atomic(&encode_embedder(embedder), &path)
             .map_err(|e| CheckpointError::Io { path, err: e })
     }
 
@@ -309,25 +307,16 @@ impl CheckpointDir {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(CheckpointError::Io { path, err: e }),
         };
-        let Some(payload) = open_envelope(&bytes) else {
-            return Err(CheckpointError::Corrupt {
-                path,
-                detail: "integrity envelope mismatch".to_string(),
-            });
-        };
-        match serde_json::from_slice(payload) {
-            Ok(e) => Ok(Some(e)),
-            Err(e) => Err(CheckpointError::Corrupt {
-                path,
-                detail: format!("embedder payload: {e}"),
-            }),
-        }
+        decode_embedder(&bytes)
+            .map(Some)
+            .map_err(|detail| CheckpointError::Corrupt { path, detail })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cati_embedding::{W2vConfig, Word2Vec};
     use rand::{Rng, SeedableRng};
 
     fn tempdir(tag: &str) -> PathBuf {
@@ -413,6 +402,31 @@ mod tests {
         match ckpt.load_stage(StageId::Stage1, cfg, &identity()) {
             Err(CheckpointError::Corrupt { .. }) => {}
             other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+        }
+
+        // The embedder checkpoint: a bit flip, and a file in the
+        // earlier format (a digest line, then the embedder as JSON).
+        let sentences = vec![vec!["mov".to_string(), "rax".to_string(), "ret".to_string()]; 4];
+        let embedder = VucEmbedder::new(Word2Vec::train(&sentences, W2vConfig::tiny()));
+        ckpt.save_embedder(&embedder).expect("save embedder");
+        assert_eq!(
+            ckpt.load_embedder().expect("load").expect("present"),
+            embedder
+        );
+        let path = dir.join("embedder.cati");
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x04;
+        let json = serde_json::to_vec(&embedder).unwrap();
+        let mut legacy = cati_analysis::digest_bytes(&json).to_string().into_bytes();
+        legacy.push(b'\n');
+        legacy.extend_from_slice(&json);
+        for damaged in [bytes, legacy] {
+            std::fs::write(&path, damaged).unwrap();
+            match ckpt.load_embedder() {
+                Err(CheckpointError::Corrupt { .. }) => {}
+                other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+            }
         }
     }
 }

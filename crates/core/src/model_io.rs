@@ -34,24 +34,30 @@
 //! then each tensor's raw `f32` data at its `rel_off` — every
 //! `rel_off` 64-byte aligned, with zero padding between tensors.
 //! Because section payloads also start on 64-byte *file* offsets,
-//! every tensor's absolute file offset is 64-byte aligned, so
-//! [`load_model`] can `mmap` the file and hand out weight slices that
-//! point straight into the page cache (zero-copy; see
-//! `cati_nn::mmap`).
+//! every tensor's absolute file offset is 64-byte aligned. The
+//! alignment is part of the format: changing it would change the
+//! bytes of every container.
 //!
-//! [`load_model`] accepts version 2 only. Any other version, and any
-//! file without the magic, fails with what was found (the version
-//! number, or a hex preview of the first bytes).
+//! [`load_model`] reads the whole file, verifies every checksum and
+//! copies each tensor into an owned buffer through [`decode_cati1`],
+//! so a loaded model never touches its file again: rewriting or
+//! truncating the file under a running server cannot change or crash
+//! it. It accepts version 2 only. Any other version, and any file
+//! without the magic, fails with what was found (the version number,
+//! or a hex preview of the first bytes).
+//!
+//! The embedder checkpoint of a streamed training run uses the same
+//! container: its meta holds the model meta's `w2v` and `vocab`
+//! entries, its tensors are `w2v.input` and `w2v.output`.
 
 use crate::pipeline::Cati;
 use cati_analysis::{digest_bytes, Fnv128};
 use cati_dwarf::StageId;
 use cati_embedding::{Vocab, VucEmbedder, W2vConfig, Word2Vec};
-use cati_nn::{MapSlice, MappedFile, ParamBuf, TextCnn, TextCnnConfig};
+use cati_nn::{TextCnn, TextCnnConfig};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::Arc;
 
 /// The 8-byte CATI1 magic. The `\r\n` catches newline-translating
 /// transports, the trailing NUL catches C-string truncation.
@@ -60,10 +66,13 @@ pub const CATI1_MAGIC: [u8; 8] = *b"CATI1\r\n\0";
 /// Container format version written by [`encode_cati1`].
 pub const CATI1_VERSION: u32 = 2;
 
-/// Alignment (bytes) of every section payload and tensor datum.
-/// 64 covers `f32` (so mapped slices are directly viewable), SIMD
-/// vector loads, and cache-line-aligned weight rows.
+/// Alignment (bytes) of every section payload and tensor datum: a
+/// cache line, which also covers `f32` and SIMD vector loads. Part of
+/// the v2 format.
 pub const CATI1_ALIGN: usize = 64;
+
+/// A decoded container's tensors, by name.
+pub(crate) type Tensors = HashMap<String, Vec<f32>>;
 
 fn align_up(n: usize) -> usize {
     n.div_ceil(CATI1_ALIGN) * CATI1_ALIGN
@@ -81,11 +90,7 @@ pub fn is_cati1(bytes: &[u8]) -> bool {
 /// The named flat weight tensors of a trained system, in the fixed
 /// container order (borrowed views — encoding never copies weights).
 fn weight_tensors(cati: &Cati) -> Vec<(String, &[f32])> {
-    let model = cati.embedder.model();
-    let mut tensors = vec![
-        ("w2v.input".to_string(), model.input_matrix()),
-        ("w2v.output".to_string(), model.output_matrix()),
-    ];
+    let mut tensors = embedder_tensors(&cati.embedder);
     for (stage, cnn) in cati.stages.models() {
         for (k, t) in cnn.params().into_iter().enumerate() {
             tensors.push((format!("stage.{stage}.p{k}"), t));
@@ -94,13 +99,28 @@ fn weight_tensors(cati: &Cati) -> Vec<(String, &[f32])> {
     tensors
 }
 
-/// The `meta` section payload: everything except the weights, as JSON.
-fn meta_blob(cati: &Cati) -> Vec<u8> {
-    let model = cati.embedder.model();
-    let mut m = serde::Map::new();
-    m.insert("config".to_string(), cati.config.to_value());
+/// The embedder's weight tensors, in container order.
+fn embedder_tensors(embedder: &VucEmbedder) -> Vec<(String, &[f32])> {
+    let model = embedder.model();
+    vec![
+        ("w2v.input".to_string(), model.input_matrix()),
+        ("w2v.output".to_string(), model.output_matrix()),
+    ]
+}
+
+/// Appends the embedder's meta entries to `m`: its Word2Vec config
+/// and vocabulary.
+fn insert_embedder_meta(m: &mut serde::Map, embedder: &VucEmbedder) {
+    let model = embedder.model();
     m.insert("w2v".to_string(), model.cfg.to_value());
     m.insert("vocab".to_string(), model.vocab.to_value());
+}
+
+/// The `meta` section payload: everything except the weights, as JSON.
+fn meta_blob(cati: &Cati) -> Vec<u8> {
+    let mut m = serde::Map::new();
+    m.insert("config".to_string(), cati.config.to_value());
+    insert_embedder_meta(&mut m, &cati.embedder);
     let stages: Vec<serde::Value> = cati
         .stages
         .models()
@@ -121,8 +141,7 @@ fn meta_blob(cati: &Cati) -> Vec<u8> {
 /// to a [`CATI1_ALIGN`] boundary, then each tensor's raw LE `f32`
 /// data at its recorded offset — every offset aligned, zero padding
 /// between tensors. Combined with aligned section placement this
-/// makes every tensor's *file* offset 64-byte aligned, which is what
-/// lets the loader view mapped bytes as `&[f32]` directly.
+/// makes every tensor's *file* offset 64-byte aligned.
 fn tensor_blob(tensors: &[(String, &[f32])]) -> Vec<u8> {
     let index_len: usize = 4 + tensors
         .iter()
@@ -200,17 +219,25 @@ pub(crate) fn encode_meta_tensors(meta: &[u8], tensors: &[(String, &[f32])]) -> 
 }
 
 /// Encodes a trained system as a CATI1 container ([`CATI1_VERSION`]
-/// = 2, the mmap-friendly aligned layout).
+/// = 2, the aligned layout).
 pub fn encode_cati1(cati: &Cati) -> Vec<u8> {
     encode_meta_tensors(&meta_blob(cati), &weight_tensors(cati))
 }
 
+/// Encodes a trained embedder alone as a CATI1 container: the model
+/// container's `w2v` and `vocab` meta entries and its two `w2v.*`
+/// tensors (the streamed trainer's embedder checkpoint).
+pub(crate) fn encode_embedder(embedder: &VucEmbedder) -> Vec<u8> {
+    let mut m = serde::Map::new();
+    insert_embedder_meta(&mut m, embedder);
+    let meta = serde_json::to_vec(&serde::Value::Object(m)).unwrap_or_default();
+    encode_meta_tensors(&meta, &embedder_tensors(embedder))
+}
+
 /// Decodes a container written by [`encode_meta_tensors`] back into
-/// its meta payload and named tensor buffers (all copied — checkpoint
-/// loads are rare and short-lived, so no mmap path).
-pub(crate) fn decode_meta_tensors(
-    bytes: &[u8],
-) -> Result<(Vec<u8>, HashMap<String, ParamBuf>), String> {
+/// its meta payload and named tensors, every tensor copied into an
+/// owned buffer.
+pub(crate) fn decode_meta_tensors(bytes: &[u8]) -> Result<(&[u8], Tensors), String> {
     let sections = read_sections(bytes)?;
     let find = |name: &str| -> Result<&Section<'_>, String> {
         sections
@@ -218,9 +245,8 @@ pub(crate) fn decode_meta_tensors(
             .find(|s| s.name == name)
             .ok_or_else(|| format!("missing section {name}"))
     };
-    let meta = find("meta")?.payload.to_vec();
-    let tsec = find("tensors")?;
-    let tensors = read_tensors(tsec.payload, tsec.offset, None)?;
+    let meta = find("meta")?.payload;
+    let tensors = read_tensors(find("tensors")?.payload)?;
     Ok((meta, tensors))
 }
 
@@ -293,20 +319,21 @@ impl<'a> Cursor<'a> {
 }
 
 /// A verified section: name, absolute file offset of the payload, and
-/// the payload itself (the offset is what lets the tensor reader hand
-/// out windows into the *file* mapping).
+/// the payload itself.
 struct Section<'a> {
     name: String,
     offset: usize,
     payload: &'a [u8],
 }
 
-/// Splits the container into verified sections: the version, the
-/// table checksum, every section's bounds, and every section's
-/// payload checksum must all hold.
+/// Splits the container into verified sections: the magic, the
+/// version, the table checksum, every section's bounds, and every
+/// section's payload checksum must all hold.
 fn read_sections(bytes: &[u8]) -> Result<Vec<Section<'_>>, String> {
     let mut cur = Cursor { bytes, pos: 0 };
-    cur.take(CATI1_MAGIC.len(), "magic")?;
+    if cur.take(CATI1_MAGIC.len(), "magic")? != CATI1_MAGIC {
+        return Err("missing CATI1 magic".to_string());
+    }
     let version = cur.u32("container version")?;
     if version != CATI1_VERSION {
         return Err(format!(
@@ -361,8 +388,7 @@ fn read_sections(bytes: &[u8]) -> Result<Vec<Section<'_>>, String> {
     Ok(sections)
 }
 
-/// Copies `elems` floats out of `payload` at byte `off` (the non-mmap
-/// tensor path, and the fallback when a mapped window is misaligned).
+/// Copies `elems` floats out of `payload` at byte `off`.
 fn copy_f32s(payload: &[u8], off: usize, elems: usize, name: &str) -> Result<Vec<f32>, String> {
     let end = elems
         .checked_mul(4)
@@ -381,15 +407,8 @@ fn copy_f32s(payload: &[u8], off: usize, elems: usize, name: &str) -> Result<Vec
 }
 
 /// Parses a `tensors` payload (index + aligned data region) into
-/// name → buffer. With a real mapping each buffer is a zero-copy
-/// window into the file (`section_off + rel_off` is 64-byte aligned
-/// by construction); without one — heap-read fallback, or decoding
-/// from a byte slice — the data is copied.
-fn read_tensors(
-    payload: &[u8],
-    section_off: usize,
-    map: Option<&Arc<MappedFile>>,
-) -> Result<HashMap<String, ParamBuf>, String> {
+/// name → owned buffer.
+fn read_tensors(payload: &[u8]) -> Result<Tensors, String> {
     let mut cur = Cursor {
         bytes: payload,
         pos: 0,
@@ -400,85 +419,61 @@ fn read_tensors(
         let name = cur.name("tensor")?;
         let elems = cur.u64(&format!("tensor {name} length"))? as usize;
         let rel = cur.u64(&format!("tensor {name} offset"))? as usize;
-        let buf = match map {
-            Some(map) if map.is_mapped() => {
-                match MapSlice::new(Arc::clone(map), section_off + rel, elems) {
-                    Ok(slice) => ParamBuf::from_map(slice),
-                    // Misaligned window (shouldn't happen for a real
-                    // mapping, which is page-aligned): fall back to a
-                    // copy rather than failing the load.
-                    Err(_) => ParamBuf::from(copy_f32s(payload, rel, elems, &name)?),
-                }
-            }
-            _ => ParamBuf::from(copy_f32s(payload, rel, elems, &name)?),
-        };
-        tensors.insert(name, buf);
+        let data = copy_f32s(payload, rel, elems, &name)?;
+        tensors.insert(name, data);
     }
     Ok(tensors)
 }
 
-fn take_tensor(tensors: &mut HashMap<String, ParamBuf>, name: &str) -> Result<ParamBuf, String> {
+fn take_tensor(tensors: &mut Tensors, name: &str) -> Result<Vec<f32>, String> {
     tensors
         .remove(name)
         .ok_or_else(|| format!("missing tensor {name}"))
 }
 
-/// Decodes a CATI1 container. When `map` is a real file mapping of
-/// the same bytes, weight tensors become zero-copy windows into it;
-/// otherwise all weights are copied out.
-fn decode_with(bytes: &[u8], map: Option<&Arc<MappedFile>>) -> Result<Cati, String> {
-    let sections = read_sections(bytes)?;
-    let section = |name: &str| -> Result<&Section<'_>, String> {
-        sections
-            .iter()
-            .find(|s| s.name == name)
-            .ok_or_else(|| format!("missing section {name}"))
-    };
-    let payload = |name: &str| -> Result<&[u8], String> { section(name).map(|s| s.payload) };
-    let meta: serde::Value = serde_json::from_slice(payload("meta")?)
-        .map_err(|e| format!("meta section is not valid JSON: {e}"))?;
-    let meta = serde::as_object_for(&meta, "CATI1 meta").map_err(|e| e.to_string())?;
-    let config: crate::config::Config =
-        serde::field(meta, "config", "CATI1 meta").map_err(|e| e.to_string())?;
+/// Rebuilds the embedder from its meta entries and its two tensors
+/// (taken out of `tensors`).
+fn decode_embedder_parts(meta: &serde::Map, tensors: &mut Tensors) -> Result<VucEmbedder, String> {
     let w2v_cfg: W2vConfig = serde::field(meta, "w2v", "CATI1 meta").map_err(|e| e.to_string())?;
     let vocab: Vocab = serde::field(meta, "vocab", "CATI1 meta").map_err(|e| e.to_string())?;
-    let stage_vals: Vec<serde::Value> =
-        serde::field(meta, "stages", "CATI1 meta").map_err(|e| e.to_string())?;
-
-    let tsec = section("tensors")?;
-    let mut tensors = read_tensors(tsec.payload, tsec.offset, map)?;
-    let input = take_tensor(&mut tensors, "w2v.input")?;
-    let output = take_tensor(&mut tensors, "w2v.output")?;
-    let w2v = Word2Vec::from_parts(vocab, w2v_cfg, input, output)?;
-
-    let mut models = Vec::with_capacity(stage_vals.len());
-    for v in &stage_vals {
-        let m = serde::as_object_for(v, "CATI1 stage entry").map_err(|e| e.to_string())?;
-        let stage: StageId =
-            serde::field(m, "stage", "CATI1 stage entry").map_err(|e| e.to_string())?;
-        let cfg: TextCnnConfig =
-            serde::field(m, "cfg", "CATI1 stage entry").map_err(|e| e.to_string())?;
-        let params = (0..8)
-            .map(|k| take_tensor(&mut tensors, &format!("stage.{stage}.p{k}")))
-            .collect::<Result<Vec<_>, _>>()?;
-        let cnn =
-            TextCnn::from_param_bufs(cfg, params).map_err(|e| format!("stage {stage}: {e}"))?;
-        models.push((stage, cnn));
-    }
-    if !tensors.is_empty() {
-        let mut extra: Vec<&String> = tensors.keys().collect();
-        extra.sort();
-        return Err(format!("unexpected tensors in container: {extra:?}"));
-    }
-    Ok(Cati {
-        config,
-        embedder: VucEmbedder::new(w2v),
-        stages: crate::multistage::MultiStage::from_models(models),
-    })
+    let input = take_tensor(tensors, "w2v.input")?;
+    let output = take_tensor(tensors, "w2v.output")?;
+    Ok(VucEmbedder::new(Word2Vec::from_parts(
+        vocab, w2v_cfg, input, output,
+    )?))
 }
 
-/// Decodes a CATI1 container back into a trained system (all weights
-/// copied into owned buffers — the mmap path lives in [`load_model`]).
+/// Parses a `meta` payload as a JSON object.
+fn parse_meta(meta: &[u8]) -> Result<serde::Map, String> {
+    match serde_json::from_slice(meta)
+        .map_err(|e| format!("meta section is not valid JSON: {e}"))?
+    {
+        serde::Value::Object(m) => Ok(m),
+        v => Err(serde::DeError::expected("object for CATI1 meta", &v).to_string()),
+    }
+}
+
+/// Fails when a container holds tensors its decoder did not take.
+fn no_extra_tensors(tensors: &Tensors) -> Result<(), String> {
+    if tensors.is_empty() {
+        return Ok(());
+    }
+    let mut extra: Vec<&String> = tensors.keys().collect();
+    extra.sort();
+    Err(format!("unexpected tensors in container: {extra:?}"))
+}
+
+/// Decodes an embedder container written by [`encode_embedder`].
+pub(crate) fn decode_embedder(bytes: &[u8]) -> Result<VucEmbedder, String> {
+    let (meta, mut tensors) = decode_meta_tensors(bytes)?;
+    let embedder = decode_embedder_parts(&parse_meta(meta)?, &mut tensors)?;
+    no_extra_tensors(&tensors)?;
+    Ok(embedder)
+}
+
+/// Decodes a CATI1 container back into a trained system, every weight
+/// copied into an owned buffer. [`load_model`] is this over the file's
+/// bytes.
 ///
 /// # Errors
 ///
@@ -487,7 +482,34 @@ fn decode_with(bytes: &[u8], map: Option<&Arc<MappedFile>>) -> Result<Cati, Stri
 /// section or tensor, or a tensor whose shape disagrees with the
 /// recorded configuration.
 pub fn decode_cati1(bytes: &[u8]) -> Result<Cati, String> {
-    decode_with(bytes, None)
+    let (meta, mut tensors) = decode_meta_tensors(bytes)?;
+    let meta = parse_meta(meta)?;
+    let config: crate::config::Config =
+        serde::field(&meta, "config", "CATI1 meta").map_err(|e| e.to_string())?;
+    let stage_vals: Vec<serde::Value> =
+        serde::field(&meta, "stages", "CATI1 meta").map_err(|e| e.to_string())?;
+    let embedder = decode_embedder_parts(&meta, &mut tensors)?;
+
+    let mut models = Vec::with_capacity(stage_vals.len());
+    for v in &stage_vals {
+        let m = serde::as_object_for(v, "CATI1 stage entry").map_err(|e| e.to_string())?;
+        let stage: StageId =
+            serde::field(m, "stage", "CATI1 stage entry").map_err(|e| e.to_string())?;
+        let cfg: TextCnnConfig =
+            serde::field(m, "cfg", "CATI1 stage entry").map_err(|e| e.to_string())?;
+        let mut params: [Vec<f32>; 8] = Default::default();
+        for (k, p) in params.iter_mut().enumerate() {
+            *p = take_tensor(&mut tensors, &format!("stage.{stage}.p{k}"))?;
+        }
+        let cnn = TextCnn::from_params(cfg, params).map_err(|e| format!("stage {stage}: {e}"))?;
+        models.push((stage, cnn));
+    }
+    no_extra_tensors(&tensors)?;
+    Ok(Cati {
+        config,
+        embedder,
+        stages: crate::multistage::MultiStage::from_models(models),
+    })
 }
 
 /// Test hook: the `(name, absolute file offset, element count)` of
@@ -548,14 +570,14 @@ pub(crate) fn save_cati1(cati: &Cati, path: &Path) -> std::io::Result<()> {
     save_bytes_atomic(&encode_cati1(cati), path)
 }
 
-/// Loads a CATI1 model file, its weights read zero-copy out of the
-/// mapping. A file without the CATI1 magic fails with a hex preview
-/// of its first bytes and a format hint.
+/// Loads a CATI1 model file: reads it whole and decodes the bytes with
+/// [`decode_cati1`]. A file without the CATI1 magic fails with a hex
+/// preview of its first bytes and a format hint.
 pub(crate) fn load_model(path: &Path) -> std::io::Result<Cati> {
-    let map = MappedFile::open(path).map_err(|e| {
+    let bytes = std::fs::read(path).map_err(|e| {
         std::io::Error::new(e.kind(), format!("read model {}: {e}", path.display()))
     })?;
-    let bytes = map.bytes();
+    let bytes = bytes.as_slice();
     let parse_err = |detail: String| {
         std::io::Error::new(
             std::io::ErrorKind::InvalidData,
@@ -567,7 +589,7 @@ pub(crate) fn load_model(path: &Path) -> std::io::Result<Cati> {
         )
     };
     if is_cati1(bytes) {
-        decode_with(bytes, Some(&map)).map_err(parse_err)
+        decode_cati1(bytes).map_err(parse_err)
     } else {
         let preview: Vec<String> = bytes.iter().take(8).map(|b| format!("{b:02x}")).collect();
         Err(parse_err(format!(
@@ -702,25 +724,29 @@ mod tests {
     }
 
     #[test]
-    fn mmap_load_is_zero_copy_and_bit_identical_to_heap_decode() {
+    fn file_load_equals_byte_decode() {
         let cati = tiny_cati();
-        let dir = std::env::temp_dir().join(format!("cati-v2-mmap-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("cati-v2-load-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.cati");
         cati.save(&path).unwrap();
         let loaded = Cati::load(&path).unwrap();
-        assert_eq!(loaded, cati, "mmap load must be bit-exact");
-        // On unix the load really mapped: 2 w2v matrices + 8 params
-        // per stage stay windows into the file.
-        #[cfg(unix)]
-        assert_eq!(
-            loaded.mapped_param_count(),
-            2 + 8 * cati.stages.models().len(),
-            "v2 load should keep every weight tensor mapped"
-        );
-        let heap = decode_cati1(&std::fs::read(&path).unwrap()).unwrap();
-        assert_eq!(heap.mapped_param_count(), 0);
-        assert_eq!(heap, loaded);
+        assert_eq!(loaded, cati, "file load must be bit-exact");
+        let decoded = decode_cati1(&std::fs::read(&path).unwrap()).unwrap();
+        assert_eq!(encode_cati1(&loaded), encode_cati1(&decoded));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn embedder_container_roundtrips_and_refuses_extra_tensors() {
+        let cati = tiny_cati();
+        let bytes = encode_embedder(&cati.embedder);
+        assert_eq!(decode_embedder(&bytes).unwrap(), cati.embedder);
+        // A whole model is not an embedder checkpoint.
+        let err = decode_embedder(&encode_cati1(&cati)).expect_err("model is not an embedder");
+        assert!(
+            err.contains("unexpected tensors"),
+            "unexpected error: {err}"
+        );
     }
 }

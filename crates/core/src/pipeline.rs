@@ -532,20 +532,6 @@ impl Cati {
     pub fn load(path: impl AsRef<Path>) -> std::io::Result<Cati> {
         crate::model_io::load_model(path.as_ref())
     }
-
-    /// How many weight tensors currently read straight out of a
-    /// memory-mapped CATI1 v2 container (zero for trained or
-    /// heap-decoded models) — diagnostics for the zero-copy load
-    /// tests.
-    pub fn mapped_param_count(&self) -> usize {
-        self.embedder.mapped_param_count()
-            + self
-                .stages
-                .models()
-                .iter()
-                .map(|(_, cnn)| cnn.mapped_param_count())
-                .sum::<usize>()
-    }
 }
 
 /// Digest of the serialized training configuration — half of the

@@ -260,11 +260,6 @@ impl CType {
             CType::Bool | CType::Integer(..) | CType::Float(_) | CType::Enum(_)
         )
     }
-
-    /// Whether the resolved type is a float family member.
-    pub fn is_float(&self) -> bool {
-        matches!(self.resolve(), CType::Float(_))
-    }
 }
 
 impl fmt::Display for CType {

@@ -4,7 +4,6 @@
 //! at paper scale); the resulting input vectors feed the VUC embedder.
 
 use crate::vocab::Vocab;
-use cati_nn::ParamBuf;
 use cati_obs::{Event, Observer, SpanGuard};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -55,18 +54,16 @@ impl W2vConfig {
 
 /// A trained skip-gram model: input (word) and output (context)
 /// embedding matrices.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Word2Vec {
     /// The vocabulary the model was trained over.
     pub vocab: Vocab,
     /// Configuration used for training.
     pub cfg: W2vConfig,
-    /// Input embeddings, `[vocab][dim]`; a [`ParamBuf`] so a model
-    /// loaded from a CATI1 v2 container reads them zero-copy out of
-    /// the mapped file.
-    input: ParamBuf,
-    /// Output embeddings, `[vocab][dim]`.
-    output: ParamBuf,
+    /// Input embeddings, flat `[vocab][dim]` row-major.
+    input: Vec<f32>,
+    /// Output embeddings, flat `[vocab][dim]` row-major.
+    output: Vec<f32>,
 }
 
 fn sigmoid(x: f32) -> f32 {
@@ -261,16 +258,16 @@ impl Word2Vec {
         Word2Vec {
             vocab,
             cfg,
-            input: input.into(),
-            output: output.into(),
+            input,
+            output,
         }
     }
 
-    /// Reassembles a model from its parts — the binary model-container
-    /// loading path. The matrices are flat `[vocab][dim]` row-major,
-    /// exactly as [`Word2Vec::input_matrix`]/[`Word2Vec::output_matrix`]
-    /// return them; mmap-backed [`ParamBuf`]s are installed without a
-    /// copy (the zero-copy CATI1 v2 path).
+    /// Reassembles a model from its parts — the model-container and
+    /// embedder-checkpoint loading path. The matrices are flat
+    /// `[vocab][dim]` row-major, exactly as
+    /// [`Word2Vec::input_matrix`]/[`Word2Vec::output_matrix`] return
+    /// them, and are moved in, not copied.
     ///
     /// # Errors
     ///
@@ -279,10 +276,9 @@ impl Word2Vec {
     pub fn from_parts(
         vocab: Vocab,
         cfg: W2vConfig,
-        input: impl Into<ParamBuf>,
-        output: impl Into<ParamBuf>,
+        input: Vec<f32>,
+        output: Vec<f32>,
     ) -> Result<Word2Vec, String> {
-        let (input, output) = (input.into(), output.into());
         let want = vocab.len().max(1) * cfg.dim;
         if input.len() != want || output.len() != want {
             return Err(format!(
@@ -316,13 +312,6 @@ impl Word2Vec {
         let id = self.vocab.id(token)?;
         let i = id as usize * self.cfg.dim;
         Some(&self.input[i..i + self.cfg.dim])
-    }
-
-    /// How many of the two embedding matrices currently read straight
-    /// out of a memory-mapped container (diagnostics for the
-    /// zero-copy load tests).
-    pub fn mapped_param_count(&self) -> usize {
-        usize::from(self.input.is_mapped()) + usize::from(self.output.is_mapped())
     }
 
     /// Cosine similarity between two tokens (0 for OOV).

@@ -8,7 +8,6 @@
 //! scalar references every lane kernel is pinned to (`reference`).
 
 use crate::isa::{Isa, Kernel};
-use crate::param::ParamBuf;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -28,11 +27,10 @@ pub struct Conv1d {
     pub out_ch: usize,
     /// Kernel width (odd).
     pub k: usize,
-    /// Weights, laid out `[out][in][k]`; a [`ParamBuf`] so loaded
-    /// models can read them straight out of a mapped container.
-    pub w: ParamBuf,
+    /// Weights, laid out `[out][in][k]`.
+    pub w: Vec<f32>,
     /// Per-output-channel bias.
-    pub b: ParamBuf,
+    pub b: Vec<f32>,
 }
 
 impl Conv1d {
@@ -47,7 +45,7 @@ impl Conv1d {
             out_ch,
             k,
             w,
-            b: vec![0.0; out_ch].into(),
+            b: vec![0.0; out_ch],
         }
     }
 
@@ -473,11 +471,10 @@ pub struct Dense {
     pub in_dim: usize,
     /// Output features.
     pub out_dim: usize,
-    /// Weights `[out][in]`; a [`ParamBuf`] so loaded models can read
-    /// them straight out of a mapped container.
-    pub w: ParamBuf,
+    /// Weights `[out][in]`.
+    pub w: Vec<f32>,
     /// Bias `[out]`.
-    pub b: ParamBuf,
+    pub b: Vec<f32>,
 }
 
 impl Dense {
@@ -490,7 +487,7 @@ impl Dense {
             in_dim,
             out_dim,
             w,
-            b: vec![0.0; out_dim].into(),
+            b: vec![0.0; out_dim],
         }
     }
 
@@ -1198,8 +1195,8 @@ mod tests {
     fn conv_with_weights(in_ch: usize, out_ch: usize, k: usize, ws: &[f32], bs: &[f32]) -> Conv1d {
         let mut rng = StdRng::seed_from_u64(99);
         let mut c = Conv1d::new(in_ch, out_ch, k, &mut rng);
-        c.w = ws.to_vec().into();
-        c.b = bs.to_vec().into();
+        c.w = ws.to_vec();
+        c.b = bs.to_vec();
         c
     }
 
@@ -1256,8 +1253,8 @@ mod tests {
             let k = 2 * kk + 1;
             let mut rng = StdRng::seed_from_u64(seed);
             let mut conv = Conv1d::new(in_ch, out_ch, k, &mut rng);
-            conv.w = (0..conv.w.len()).map(|_| value(&mut rng, mode)).collect::<Vec<_>>().into();
-            conv.b = (0..out_ch).map(|_| value(&mut rng, mode)).collect::<Vec<_>>().into();
+            conv.w = (0..conv.w.len()).map(|_| value(&mut rng, mode)).collect();
+            conv.b = (0..out_ch).map(|_| value(&mut rng, mode)).collect();
             let xs = samples(&mut rng, in_ch * len, LANES, mode);
             let xt = lane_major(&xs);
             for isa in isas() {
@@ -1287,7 +1284,7 @@ mod tests {
             let k = 2 * kk + 1;
             let mut rng = StdRng::seed_from_u64(seed);
             let mut conv = Conv1d::new(in_ch, out_ch, k, &mut rng);
-            conv.b = (0..out_ch).map(|_| rng.gen_range(-1.0f32..1.0)).collect::<Vec<_>>().into();
+            conv.b = (0..out_ch).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
             let samples: Vec<Vec<f32>> = (0..LANES)
                 .map(|_| (0..in_ch * len).map(|_| rng.gen_range(-2.0f32..2.0)).collect())
                 .collect();
@@ -1323,9 +1320,9 @@ mod tests {
                 _ => r.gen_range(-3.0f32..3.0),
             };
             let mut conv = Conv1d::new(in_ch, out_ch, 3, &mut rng);
-            conv.w = (0..conv.w.len()).map(|_| value(&mut rng)).collect::<Vec<_>>().into();
+            conv.w = (0..conv.w.len()).map(|_| value(&mut rng)).collect();
             let mut dense = Dense::new(in_ch * len, out_ch, &mut rng);
-            dense.w = (0..dense.w.len()).map(|_| value(&mut rng)).collect::<Vec<_>>().into();
+            dense.w = (0..dense.w.len()).map(|_| value(&mut rng)).collect();
             let xt: Vec<f32> = (0..in_ch * len * LANES).map(|_| value(&mut rng)).collect();
             let gyt: Vec<f32> = (0..out_ch * len * LANES).map(|_| value(&mut rng)).collect();
             let dgyt = &gyt[..out_ch * LANES];
@@ -1360,8 +1357,8 @@ mod tests {
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut dense = Dense::new(in_dim, out_dim, &mut rng);
-            dense.w = (0..dense.w.len()).map(|_| value(&mut rng, mode)).collect::<Vec<_>>().into();
-            dense.b = (0..out_dim).map(|_| value(&mut rng, mode)).collect::<Vec<_>>().into();
+            dense.w = (0..dense.w.len()).map(|_| value(&mut rng, mode)).collect();
+            dense.b = (0..out_dim).map(|_| value(&mut rng, mode)).collect();
             let xs = samples(&mut rng, in_dim, LANES, mode);
             let xt = lane_major(&xs);
             for isa in isas() {
@@ -1519,11 +1516,11 @@ mod tests {
         let len = 6;
         let x: Vec<f32> = (0..2 * len).map(|_| rng.gen_range(0.5f32..1.0)).collect();
         let mut conv = Conv1d::new(2, 3, 3, &mut rng);
-        conv.w = vec![-0.0; conv.w.len()].into();
-        conv.b = vec![-0.0; 3].into();
+        conv.w = vec![-0.0; conv.w.len()];
+        conv.b = vec![-0.0; 3];
         let mut dense = Dense::new(2 * len, 3, &mut rng);
-        dense.w = vec![-0.0; dense.w.len()].into();
-        dense.b = vec![-0.0; 3].into();
+        dense.w = vec![-0.0; dense.w.len()];
+        dense.b = vec![-0.0; 3];
         let (mut y, mut yt) = (Vec::new(), Vec::new());
         conv_forward_oracle(&conv, &x, len, &mut y);
         conv.forward_lanes(&lane0_tile(&x), len, &mut yt);
@@ -1641,8 +1638,8 @@ mod tests {
     fn conv_identity_kernel_preserves_signal() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut conv = Conv1d::new(1, 1, 3, &mut rng);
-        conv.w = vec![0.0, 1.0, 0.0].into();
-        conv.b = vec![0.0].into();
+        conv.w = vec![0.0, 1.0, 0.0];
+        conv.b = vec![0.0];
         let x = vec![1.0, 2.0, 3.0, 4.0];
         let mut y = Vec::new();
         conv_forward_oracle(&conv, &x, 4, &mut y);
@@ -1691,7 +1688,7 @@ mod tests {
             // Check a few weight gradients.
             for idx in [0usize, 3, 7, conv.w.len() - 1] {
                 let mut c2 = conv.clone();
-                c2.w.to_mut()[idx] += eps;
+                c2.w[idx] += eps;
                 let num = (loss(&c2, &x) - loss(&conv, &x)) / eps;
                 assert!(
                     (num - gw[idx]).abs() < 0.05 * (1.0 + num.abs()),
@@ -1749,7 +1746,7 @@ mod tests {
         for (gw, gx) in [(gw, gx), (gw_t, lane(&gxt, 0))] {
             for (idx, &g) in gw.iter().enumerate() {
                 let mut d2 = dense.clone();
-                d2.w.to_mut()[idx] += eps;
+                d2.w[idx] += eps;
                 let num = (loss(&d2, &x) - loss(&dense, &x)) / eps;
                 assert!((num - g).abs() < 0.02 * (1.0 + num.abs()));
             }

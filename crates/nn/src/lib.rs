@@ -25,6 +25,10 @@
 //! tile trainer to them and check the gradients against finite
 //! differences.
 //!
+//! Every weight tensor is an owned `Vec<f32>`: a model loaded from a
+//! file holds its own copy of the weights and never reads the file
+//! again.
+//!
 //! # Example
 //!
 //! ```
@@ -40,25 +44,26 @@
 //! assert!(loss.is_finite());
 //! ```
 
-// `deny` rather than `forbid`: two documented modules hold the
-// crate's unsafe code — [`mmap`] (the zero-copy weight loader) and
-// `isa` (the one call into the AVX2 build of the lane kernels);
-// everything else stays unsafe-free and any new unsafe outside them
-// is a compile error.
+// `deny` rather than `forbid`: one documented module holds the
+// crate's unsafe code — `isa` (the one call into the AVX2 build of
+// the lane kernels); everything else stays unsafe-free and any new
+// unsafe outside it is a compile error.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
 mod isa;
 pub mod layers;
-pub mod mmap;
 pub mod model;
 pub mod optim;
-pub mod param;
 pub mod tensor;
 
-pub use mmap::{MapSlice, MappedFile};
 pub use model::{predict_fused, NoHook, SampleSource, TextCnn, TextCnnConfig, TrainHook};
 pub use optim::{Adam, GradBuffers, Sgd};
-pub use param::ParamBuf;
 pub use tensor::{argmax, fill_rows, Rows, Tensor};
+
+/// A layer's weight or bias tensor: plain owned floats. The name is
+/// kept for code outside the workspace (perfbench) that builds
+/// [`layers::Conv1d`] and [`layers::Dense`] literals with
+/// `ParamBuf::from(vec)`.
+pub type ParamBuf = Vec<f32>;

@@ -11,7 +11,6 @@ use crate::layers::{
     relu_backward, softmax, Conv1d, Dense, LANES,
 };
 use crate::optim::{Adam, GradBuffers};
-use crate::param::ParamBuf;
 use crate::tensor::{Rows, Tensor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -346,62 +345,21 @@ impl TextCnn {
         ]
     }
 
-    /// How many of the eight parameter buffers currently read straight
-    /// out of a memory-mapped container (diagnostics; tests assert the
-    /// zero-copy load path actually maps).
-    pub fn mapped_param_count(&self) -> usize {
-        [
-            &self.conv1.w,
-            &self.conv1.b,
-            &self.conv2.w,
-            &self.conv2.b,
-            &self.fc1.w,
-            &self.fc1.b,
-            &self.fc2.w,
-            &self.fc2.b,
-        ]
-        .into_iter()
-        .filter(|p| p.is_mapped())
-        .count()
-    }
-
-    /// Reconstructs a model from a configuration and its eight
-    /// parameter tensors in [`TextCnn::params`] order — the
-    /// model-container loading path.
+    /// Rebuilds a model from its configuration and the eight tensors
+    /// [`TextCnn::params`] returns, in that order — the model-container
+    /// and checkpoint loading path. The tensors are moved in, not
+    /// copied.
     ///
     /// # Errors
     ///
-    /// Fails (with a description naming the offending tensor) when a
-    /// tensor's length disagrees with the configuration's shapes.
-    pub fn from_params(cfg: TextCnnConfig, tensors: &[Vec<f32>]) -> Result<TextCnn, String> {
-        Self::from_param_bufs(
-            cfg,
-            tensors.iter().map(|t| ParamBuf::from(t.clone())).collect(),
-        )
-    }
-
-    /// [`TextCnn::from_params`] without the copy: the eight buffers
-    /// (in the same order) are installed as-is, so mmap-backed
-    /// [`ParamBuf`]s flow straight into the model — the zero-copy
-    /// CATI1 v2 loading path.
-    ///
-    /// # Errors
-    ///
-    /// Fails (naming the offending tensor) when the buffer count or a
-    /// buffer's length disagrees with the configuration's shapes.
-    pub fn from_param_bufs(cfg: TextCnnConfig, bufs: Vec<ParamBuf>) -> Result<TextCnn, String> {
+    /// Fails (naming the offending tensor) when a tensor's length
+    /// disagrees with the configuration's shapes.
+    pub fn from_params(cfg: TextCnnConfig, params: [Vec<f32>; 8]) -> Result<TextCnn, String> {
         const NAMES: [&str; 8] = [
             "conv1.w", "conv1.b", "conv2.w", "conv2.b", "fc1.w", "fc1.b", "fc2.w", "fc2.b",
         ];
-        if bufs.len() != NAMES.len() {
-            return Err(format!(
-                "expected {} parameter tensors, got {}",
-                NAMES.len(),
-                bufs.len()
-            ));
-        }
         let mut model = TextCnn::new(cfg, 0);
-        for ((dst, src), name) in model.params_mut().into_iter().zip(&bufs).zip(NAMES) {
+        for ((dst, src), name) in model.params_mut().into_iter().zip(params).zip(NAMES) {
             if dst.len() != src.len() {
                 return Err(format!(
                     "tensor {name}: {} floats, config needs {}",
@@ -409,30 +367,21 @@ impl TextCnn {
                     dst.len()
                 ));
             }
+            *dst = src;
         }
-        let mut it = bufs.into_iter();
-        let mut next = || it.next().expect("length checked above");
-        model.conv1.w = next();
-        model.conv1.b = next();
-        model.conv2.w = next();
-        model.conv2.b = next();
-        model.fc1.w = next();
-        model.fc1.b = next();
-        model.fc2.w = next();
-        model.fc2.b = next();
         Ok(model)
     }
 
     fn params_mut(&mut self) -> [&mut Vec<f32>; 8] {
         [
-            self.conv1.w.to_mut(),
-            self.conv1.b.to_mut(),
-            self.conv2.w.to_mut(),
-            self.conv2.b.to_mut(),
-            self.fc1.w.to_mut(),
-            self.fc1.b.to_mut(),
-            self.fc2.w.to_mut(),
-            self.fc2.b.to_mut(),
+            &mut self.conv1.w,
+            &mut self.conv1.b,
+            &mut self.conv2.w,
+            &mut self.conv2.b,
+            &mut self.fc1.w,
+            &mut self.fc1.b,
+            &mut self.fc2.w,
+            &mut self.fc2.b,
         ]
     }
 
@@ -802,8 +751,8 @@ mod tests {
     fn serialization_roundtrip_preserves_predictions() {
         let cfg = TextCnnConfig::tiny(4, 3);
         let model = TextCnn::new(cfg, 9);
-        let bufs = model.params().map(|t| ParamBuf::from(t.to_vec())).to_vec();
-        let restored = TextCnn::from_param_bufs(model.cfg, bufs).unwrap();
+        let restored =
+            TextCnn::from_params(model.cfg, model.params().map(<[f32]>::to_vec)).unwrap();
         assert_eq!(restored, model);
         let x = vec![vec![0.25; cfg.embed_dim * cfg.seq_len]];
         assert_eq!(model.predict_batch(&x), restored.predict_batch(&x));

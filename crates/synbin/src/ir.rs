@@ -286,13 +286,6 @@ pub struct Program {
     pub externs: Vec<ExternFunc>,
 }
 
-impl Program {
-    /// Total number of locals (and parameters) across all functions.
-    pub fn total_locals(&self) -> usize {
-        self.functions.iter().map(|f| f.locals.len()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,7 +8,7 @@
 //! change needs a format version bump (plus a regenerated fixture via
 //! `cargo test -p cati --test model_format -- --ignored`).
 
-use cati::{encode_cati1, is_cati1, Cati, Config, CATI1_MAGIC};
+use cati::{encode_cati1, is_cati1, Cati, Config, InferredVar, CATI1_MAGIC};
 use cati_synbin::{build_corpus, Corpus, CorpusConfig};
 use std::path::PathBuf;
 
@@ -72,21 +72,70 @@ fn golden_cati1_fixture_still_loads_and_predicts_identically() {
 }
 
 /// The fixture was recorded as a v1 container and migrated to v2
-/// bit for bit; loaded through the mmap path it must still predict
-/// exactly what it predicted when it was recorded.
+/// bit for bit; loaded from its file it must be the model its bytes
+/// decode to, and still predict exactly what it predicted when it was
+/// recorded.
 #[test]
-fn v1_golden_migrated_to_v2_loads_zero_copy_with_identical_predictions() {
-    let cati = Cati::load(fixture_dir().join("golden.cati")).expect("load golden fixture");
-    #[cfg(unix)]
-    assert!(
-        cati.mapped_param_count() > 0,
-        "a load on unix should keep weights memory-mapped"
+fn v1_golden_migrated_to_v2_loads_with_identical_predictions() {
+    let path = fixture_dir().join("golden.cati");
+    let cati = Cati::load(&path).expect("load golden fixture");
+    let bytes = std::fs::read(&path).expect("read golden.cati");
+    assert_eq!(
+        encode_cati1(&cati),
+        bytes,
+        "a file load must hold exactly the weights the file encodes"
     );
     assert_eq!(
         fixture_predictions(&cati, &fixture_corpus()),
         recorded_predictions(),
-        "mmap-loaded model's predictions drifted from the recorded fixture"
+        "file-loaded model's predictions drifted from the recorded fixture"
     );
+}
+
+/// Predictions with every confidence as its raw bits, so comparing
+/// two of them is a bitwise comparison.
+fn prediction_bits(vars: &[InferredVar]) -> Vec<(String, u32)> {
+    vars.iter()
+        .map(|v| {
+            let what = format!("{:?} {:?} {}", v.key, v.class, v.vuc_count);
+            (what, v.confidence.to_bits())
+        })
+        .collect()
+}
+
+/// A loaded model owns its weights: rewriting its file in place (no
+/// rename, the way `cp` or `rsync --inplace` write) or truncating it
+/// must not change a single prediction or weight, nor crash.
+#[test]
+fn a_loaded_model_does_not_depend_on_its_file() {
+    use std::io::{Seek, SeekFrom, Write};
+
+    let corpus = build_corpus(&CorpusConfig::small(29));
+    let trained = Cati::train(&corpus.train[..4], &Config::small(), &cati::obs::NOOP);
+    let dir = std::env::temp_dir().join(format!("cati_inplace_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("model.cati");
+    trained.save(&path).unwrap();
+    let loaded = Cati::load(&path).expect("load model");
+    let encoded = encode_cati1(&loaded);
+    let stripped = corpus.test[0].binary.strip();
+    let infer = || prediction_bits(&loaded.infer(&stripped).expect("inference"));
+    let first = infer();
+    assert!(!first.is_empty(), "the probe binary must yield predictions");
+
+    let len = std::fs::metadata(&path).unwrap().len();
+    let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    file.seek(SeekFrom::Start(len / 2)).unwrap();
+    file.write_all(&vec![0x3f; (len - len / 2) as usize])
+        .unwrap();
+    file.sync_all().unwrap();
+    assert_eq!(infer(), first, "an in-place overwrite changed predictions");
+
+    file.set_len(64).unwrap();
+    assert_eq!(infer(), first, "a truncation changed predictions");
+    assert_eq!(encode_cati1(&loaded), encoded, "the loaded weights changed");
+    drop(file);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
