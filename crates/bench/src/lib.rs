@@ -144,7 +144,8 @@ impl RunObs {
 
     /// Writes the run manifest (unless `--no-manifest`), merging the
     /// experiment's own result fields from `extra` into the meta line
-    /// alongside the standard `name` / `seed` / `git_rev` keys.
+    /// alongside the standard `name` / `seed` / `git_rev` /
+    /// `kernel_isa` keys.
     /// Returns the manifest path when one was written.
     pub fn finish(&self, extra: &Value) -> Option<PathBuf> {
         self.finished.set(true);
@@ -155,6 +156,7 @@ impl RunObs {
         if let Some(rev) = git_rev(Path::new(env!("CARGO_MANIFEST_DIR"))) {
             meta.insert("git_rev".to_string(), json!(rev));
         }
+        meta.insert("kernel_isa".to_string(), json!(cati_nn::kernel_isa()));
         if let Value::Object(extra) = extra {
             for (k, v) in extra.iter() {
                 meta.insert(k.clone(), v.clone());

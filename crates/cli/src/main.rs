@@ -127,13 +127,18 @@ fn recorder_config_of(args: &Args) -> RecorderConfig {
     }
 }
 
-/// The standard run-meta object: `name` / `git_rev` plus `extra` keys.
+/// The standard run-meta object: `name` / `git_rev` / `kernel_isa`
+/// (the lane-kernel build this CPU runs) plus `extra` keys.
 fn run_meta(name: &str, extra: &serde_json::Value) -> serde_json::Value {
     let mut meta = serde_json::Map::new();
     meta.insert("name".to_string(), serde_json::json!(name));
     if let Some(rev) = git_rev(Path::new(".")) {
         meta.insert("git_rev".to_string(), serde_json::json!(rev));
     }
+    meta.insert(
+        "kernel_isa".to_string(),
+        serde_json::json!(cati::nn::kernel_isa()),
+    );
     if let serde_json::Value::Object(extra) = extra {
         for (k, v) in extra.iter() {
             meta.insert(k.clone(), v.clone());
@@ -144,7 +149,7 @@ fn run_meta(name: &str, extra: &serde_json::Value) -> serde_json::Value {
 
 /// Writes the run manifest when `--manifest PATH` was given and a
 /// Chrome trace when `--trace OUT.json` was given. `extra` keys join
-/// the standard `name` / `git_rev` meta fields.
+/// the standard `name` / `git_rev` / `kernel_isa` meta fields.
 fn write_manifest_if_requested(
     args: &Args,
     recorder: &Recorder,

@@ -98,6 +98,33 @@ fn full_cli_workflow() {
     let parsed: serde_json::Value = serde_json::from_str(&json_out).expect("valid JSON");
     assert!(parsed.as_array().map(|a| !a.is_empty()).unwrap_or(false));
 
+    // 7b. The run manifest names the lane-kernel build that ran, passes
+    //     validation, and `cati report` prints the build.
+    let (ok, _, stderr) = run(
+        &[
+            "infer",
+            "--model",
+            "model.json",
+            "stripped.json",
+            "--manifest",
+            "infer.jsonl",
+        ],
+        &dir,
+    );
+    assert!(ok, "infer --manifest failed: {stderr}");
+    let text = std::fs::read_to_string(dir.join("infer.jsonl")).unwrap();
+    let meta: serde_json::Value =
+        serde_json::from_str(text.lines().next().expect("a meta line")).unwrap();
+    let isa = meta["kernel_isa"].as_str().expect("kernel_isa in the meta");
+    assert!(
+        ["baseline", "avx2", "avx512"].contains(&isa),
+        "unknown kernel build {isa}"
+    );
+    let (ok, out, stderr) = run(&["report", "infer.jsonl", "--validate"], &dir);
+    assert!(ok && out.contains("OK"), "{out}{stderr}");
+    let (ok, out, _) = run(&["report", "infer.jsonl"], &dir);
+    assert!(ok && out.contains(&format!("kernel_isa: {isa}")), "{out}");
+
     // 8. Degradation modes. Append undecodable junk to the stripped
     //    binary: strict inference must refuse it with a typed error,
     //    lenient inference must return a partial result and say so.

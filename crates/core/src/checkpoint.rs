@@ -362,6 +362,7 @@ mod tests {
             .load_stage(StageId::Stage2Ptr, cfg, &identity())
             .expect("load")
             .is_none());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -382,6 +383,7 @@ mod tests {
             Err(CheckpointError::Mismatch { .. }) => {}
             other => panic!("expected Mismatch, got {:?}", other.map(|_| ())),
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -428,5 +430,6 @@ mod tests {
                 other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
             }
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -367,7 +367,7 @@ impl MultiStage {
     /// bitwise the distribution of row `i` alone.
     ///
     /// One fused pass ([`cati_nn::predict_fused`]) runs all six stage
-    /// CNNs on each 8-VUC tile and writes each leaf's root-to-leaf
+    /// CNNs on each 16-VUC tile and writes each leaf's root-to-leaf
     /// product straight from the tile's stage probabilities, taken in
     /// [`StageId::path_of`] order.
     pub fn leaf_distributions_batch<R: Rows + ?Sized>(&self, xs: &R) -> Tensor {
@@ -420,7 +420,8 @@ mod tests {
     /// The fused pass's rows are bitwise equal both to the fused pass
     /// over that row alone and to the product of each stage's batched
     /// probabilities along `StageId::path_of` (the composition the
-    /// traced benchmark times), for row counts around the 8-VUC tile.
+    /// traced benchmark times), for row counts around the 16-VUC tile
+    /// and its 8-row halves.
     #[test]
     fn fused_leaf_distributions_match_per_row_and_per_stage_products() {
         let models = StageId::ALL
@@ -439,7 +440,7 @@ mod tests {
             .collect();
         let ms = MultiStage::from_models(models);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-        for n in [0usize, 1, 7, 8, 9, 23] {
+        for n in [0usize, 1, 7, 8, 9, 15, 16, 17, 33] {
             let cols = 6 * cati_analysis::VUC_LEN;
             let data = (0..n * cols)
                 .map(|i| (i as f32 * 0.61).sin() * 1.7)

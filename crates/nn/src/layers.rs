@@ -1,11 +1,13 @@
 //! Neural-network layers with explicit forward/backward passes.
 //!
-//! Everything is `f32` and runs on lane-major tiles of [`LANES`]
-//! samples: the forward kernels write into caller-owned tiles the
-//! backward kernels read, and gradients accumulate into caller-owned
-//! buffers so minibatch shards can be processed in parallel and
-//! reduced. The one-sample passes survive only as the test-only
-//! scalar references every lane kernel is pinned to (`reference`).
+//! Everything is `f32` and runs on lane-major tiles: training tiles
+//! of [`LANES`] samples and inference tiles of [`INFER_LANES`] rows.
+//! The forward kernels are generic over the tile width and write into
+//! caller-owned tiles the backward kernels read; gradients accumulate
+//! into caller-owned buffers so minibatch shards can be processed in
+//! parallel and reduced. The one-sample passes survive only as the
+//! test-only scalar references every lane kernel is pinned to
+//! (`reference`).
 
 use crate::isa::{Isa, Kernel};
 use rand::rngs::StdRng;
@@ -66,18 +68,26 @@ impl Conv1d {
     /// per-element chain is bias-seeded then ascending `(i, dk)` over
     /// every in-bounds tap, zero weights included (`0 · ∞` is NaN here
     /// as in the backward pass) — the scalar reference's chain, which
-    /// the tests pin each lane to bitwise. Runs the AVX2 build of the
-    /// kernel on CPUs that have it (same bits; see the `isa` module).
+    /// the tests pin each lane to bitwise. Runs the widest build of the
+    /// kernel the CPU has (same bits; see the `isa` module).
     pub fn forward_lanes(&self, xt: &[f32], len: usize, yt: &mut Vec<f32>) {
-        self.forward_lanes_on(Isa::detected(), xt, len, yt);
+        self.forward_lanes_on::<LANES>(Isa::detected(), xt, len, yt);
     }
 
-    /// [`Conv1d::forward_lanes`] compiled for `isa`.
-    pub(crate) fn forward_lanes_on(&self, isa: Isa, xt: &[f32], len: usize, yt: &mut Vec<f32>) {
-        assert_eq!(xt.len(), self.in_ch * len * LANES, "conv input tile shape");
+    /// [`Conv1d::forward_lanes`] over a `W`-lane tile
+    /// (`[in_ch][len][W]` in, `[out_ch][len][W]` out), compiled for
+    /// `isa`. Every width gives each lane the same chain.
+    pub(crate) fn forward_lanes_on<const W: usize>(
+        &self,
+        isa: Isa,
+        xt: &[f32],
+        len: usize,
+        yt: &mut Vec<f32>,
+    ) {
+        assert_eq!(xt.len(), self.in_ch * len * W, "conv input tile shape");
         yt.clear();
-        yt.resize(self.out_ch * len * LANES, 0.0);
-        isa.run(ConvTile::<false> {
+        yt.resize(self.out_ch * len * W, 0.0);
+        isa.run(ConvTile::<false, W> {
             w: &self.w,
             seed: Some(&self.b),
             out_stride: self.in_ch * self.k,
@@ -120,7 +130,7 @@ impl Conv1d {
         );
         gxt.clear();
         gxt.resize(self.in_ch * len * LANES, 0.0);
-        isa.run(ConvTile::<true> {
+        isa.run(ConvTile::<true, LANES> {
             w: &self.w,
             seed: None,
             out_stride: self.k,
@@ -196,13 +206,14 @@ impl Conv1d {
 }
 
 /// The operands of one lane-major convolution pass, with the tiles
-/// viewed as 8-lane columns: [`Conv1d::forward_lanes`]
-/// (`TRANSPOSED = false`) or [`Conv1d::input_grad_lanes`]
-/// (`TRANSPOSED = true`). Output channel `o` at column `t` sums
+/// viewed as `W`-lane columns: [`Conv1d::forward_lanes`]
+/// (`TRANSPOSED = false`, 8 or 16 lanes) or
+/// [`Conv1d::input_grad_lanes`] (`TRANSPOSED = true`, 8 lanes).
+/// Output channel `o` at column `t` sums
 /// `w[o · out_stride + r · red_stride + dk] · xt[r][s]` over reduction
 /// channels `r` and taps `dk`, where `s = t + dk - pad` forward and
 /// `s = t + pad - dk` transposed.
-struct ConvTile<'a, const TRANSPOSED: bool> {
+struct ConvTile<'a, const TRANSPOSED: bool, const W: usize> {
     w: &'a [f32],
     /// Per-output-channel accumulator seed (the bias); `None` seeds
     /// `0.0`.
@@ -216,12 +227,12 @@ struct ConvTile<'a, const TRANSPOSED: bool> {
     k: usize,
     len: usize,
     /// `[red_ch][len]` input lane columns.
-    xt: &'a [[f32; LANES]],
+    xt: &'a [[f32; W]],
     /// `[out_ch][len]` output lane columns.
-    yt: &'a mut [[f32; LANES]],
+    yt: &'a mut [[f32; W]],
 }
 
-impl<const TRANSPOSED: bool> Kernel for ConvTile<'_, TRANSPOSED> {
+impl<const TRANSPOSED: bool, const W: usize> Kernel for ConvTile<'_, TRANSPOSED, W> {
     #[inline(always)]
     fn run(mut self) {
         if self.len == 0 {
@@ -232,14 +243,16 @@ impl<const TRANSPOSED: bool> Kernel for ConvTile<'_, TRANSPOSED> {
     }
 }
 
-impl<const TRANSPOSED: bool> ConvTile<'_, TRANSPOSED> {
+impl<const TRANSPOSED: bool, const W: usize> ConvTile<'_, TRANSPOSED, W> {
     /// Output channels from `o` on in blocks of `OB` while a whole
     /// block fits, over every column; returns the first
     /// channel left over. Interior columns, where every tap lands in
-    /// `[0, len)`, go in blocks of 3 (then 2, 1): 4 channels × 3
-    /// columns is 12 accumulators, as many as the 16 ymm registers
-    /// hold beside the operands. Edge columns run one at a time over
-    /// their in-bounds taps.
+    /// `[0, len)`, go in blocks of 3 (then 2, 1) on 8-lane tiles:
+    /// 4 channels × 3 columns is 12 accumulators, as many as the 16
+    /// ymm registers hold beside the operands. 16-lane tiles start at
+    /// blocks of 2: 4 × 2 accumulators of 16 lanes are 8 of the 32 zmm
+    /// registers, and 4 × 3 ran slower (DESIGN.md §15). Edge columns
+    /// run one at a time over their in-bounds taps.
     #[inline(always)]
     fn channels<const OB: usize>(&mut self, mut o: usize) -> usize {
         let (k, len, pad) = (self.k, self.len, self.k / 2);
@@ -256,7 +269,11 @@ impl<const TRANSPOSED: bool> ConvTile<'_, TRANSPOSED> {
                 };
                 self.block::<OB, 1>(o, t, taps);
             }
-            let t = self.columns::<OB, 3>(o, lo, hi);
+            let t = if W == LANES {
+                self.columns::<OB, 3>(o, lo, hi)
+            } else {
+                lo
+            };
             let t = self.columns::<OB, 2>(o, t, hi);
             self.columns::<OB, 1>(o, t, hi);
             o += OB;
@@ -282,7 +299,7 @@ impl<const TRANSPOSED: bool> ConvTile<'_, TRANSPOSED> {
 
     /// One register block: output channels `o0..o0 + OB` × columns
     /// `t0..t0 + TB`, accumulating taps `taps` (in bounds for every
-    /// column of the block). The `OB × TB` 8-lane accumulators are
+    /// column of the block). The `OB × TB` `W`-lane accumulators are
     /// seeded, updated across every `(r, dk)` in ascending order, and
     /// stored once.
     #[inline(always)]
@@ -293,10 +310,10 @@ impl<const TRANSPOSED: bool> ConvTile<'_, TRANSPOSED> {
         taps: std::ops::Range<usize>,
     ) {
         let (len, pad) = (self.len, self.k / 2);
-        let mut acc = [[[0.0f32; LANES]; TB]; OB];
+        let mut acc = [[[0.0f32; W]; TB]; OB];
         if let Some(seed) = self.seed {
             for (a, &b) in acc.iter_mut().zip(&seed[o0..o0 + OB]) {
-                *a = [[b; LANES]; TB];
+                *a = [[b; W]; TB];
             }
         }
         for r in 0..self.red_ch {
@@ -307,7 +324,7 @@ impl<const TRANSPOSED: bool> ConvTile<'_, TRANSPOSED> {
                 } else {
                     t0 + dk - pad
                 };
-                let xs: &[[f32; LANES]; TB] =
+                let xs: &[[f32; W]; TB] =
                     xr[s..s + TB].try_into().expect("a block reads TB columns");
                 for (ob, a) in acc.iter_mut().enumerate() {
                     let wv = self.w[(o0 + ob) * self.out_stride + r * self.red_stride + dk];
@@ -456,13 +473,20 @@ fn skip_zero(g: f32, p: f32) -> f32 {
     }
 }
 
-/// Sample lanes per batched-inference tile ([`Dense::forward_batch`],
-/// [`Conv1d::forward_lanes`], [`maxpool2_lanes`]): 8 floats is one
-/// AVX register (or two SSE ones), and small enough that accumulator
-/// blocks stay in registers. Tiles are *lane-major*: element `e` of
-/// samples `0..8` sits at `[e * LANES .. e * LANES + 8]`, so every
-/// per-element op is a contiguous 8-wide SIMD op.
+/// Sample lanes per training tile and per call of the public lane
+/// kernels ([`Dense::forward_batch`], [`Conv1d::forward_lanes`],
+/// [`maxpool2_lanes`]): 8 floats is one AVX register (or two SSE
+/// ones), and small enough that accumulator blocks stay in registers.
+/// Tiles are *lane-major*: element `e` of samples `0..8` sits at
+/// `[e * LANES .. e * LANES + 8]`, so every per-element op is a
+/// contiguous 8-wide SIMD op.
 pub const LANES: usize = 8;
+
+/// Rows per inference tile ([`crate::predict_fused`]): 16 floats is
+/// one AVX-512 register (or two AVX ones), so a 16-row tile fills the
+/// AVX-512 units and halves the weight traffic per row. Laid out like
+/// an 8-lane tile, with 16 lanes.
+pub(crate) const INFER_LANES: usize = 16;
 
 /// Fully connected layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -507,18 +531,25 @@ impl Dense {
     /// time (then 2, 1): each input column `xt[i]` is loaded once per
     /// block and feeds 4 independent accumulator chains, and the
     /// weight matrix streams through once per *tile* instead of once
-    /// per sample. Runs the AVX2 build of the kernel on CPUs that have it
+    /// per sample. Runs the widest build of the kernel the CPU has
     /// (same bits; see the `isa` module).
     pub fn forward_batch(&self, xt: &[f32], out: &mut Vec<f32>) {
-        self.forward_batch_on(Isa::detected(), xt, out);
+        self.forward_batch_on::<LANES>(Isa::detected(), xt, out);
     }
 
-    /// [`Dense::forward_batch`] compiled for `isa`.
-    pub(crate) fn forward_batch_on(&self, isa: Isa, xt: &[f32], out: &mut Vec<f32>) {
-        assert_eq!(xt.len(), self.in_dim * LANES, "dense input tile shape");
+    /// [`Dense::forward_batch`] over a `W`-lane tile (`[in_dim][W]` in,
+    /// `[out_dim][W]` out), compiled for `isa`. Every width gives each
+    /// lane the same chain, with the same 4-output blocks.
+    pub(crate) fn forward_batch_on<const W: usize>(
+        &self,
+        isa: Isa,
+        xt: &[f32],
+        out: &mut Vec<f32>,
+    ) {
+        assert_eq!(xt.len(), self.in_dim * W, "dense input tile shape");
         out.clear();
-        out.resize(self.out_dim * LANES, 0.0);
-        isa.run(DenseTile {
+        out.resize(self.out_dim * W, 0.0);
+        isa.run(DenseTile::<W> {
             w: &self.w,
             b: &self.b,
             in_dim: self.in_dim,
@@ -604,18 +635,18 @@ impl Dense {
 }
 
 /// The operands of one [`Dense::forward_batch`] call, with the weights
-/// dereferenced once and the tiles viewed as 8-lane columns.
-struct DenseTile<'a> {
+/// dereferenced once and the tiles viewed as `W`-lane columns.
+struct DenseTile<'a, const W: usize> {
     w: &'a [f32],
     b: &'a [f32],
     in_dim: usize,
     /// `[in_dim]` input lane columns.
-    xt: &'a [[f32; LANES]],
+    xt: &'a [[f32; W]],
     /// `[out_dim]` output lane columns.
-    out: &'a mut [[f32; LANES]],
+    out: &'a mut [[f32; W]],
 }
 
-impl Kernel for DenseTile<'_> {
+impl<const W: usize> Kernel for DenseTile<'_, W> {
     #[inline(always)]
     fn run(mut self) {
         let o = self.blocks::<4>(0);
@@ -624,7 +655,7 @@ impl Kernel for DenseTile<'_> {
     }
 }
 
-impl DenseTile<'_> {
+impl<const W: usize> DenseTile<'_, W> {
     /// Computes outputs from `o` on in blocks of `OB` while a whole
     /// block fits; returns the first output left over.
     #[inline(always)]
@@ -632,7 +663,7 @@ impl DenseTile<'_> {
         let n = self.in_dim;
         while o + OB <= self.out.len() {
             let w = &self.w[o * n..][..OB * n];
-            let mut acc = [[0.0f32; LANES]; OB];
+            let mut acc = [[0.0f32; W]; OB];
             for (i, x) in self.xt[..n].iter().enumerate() {
                 for (ob, a) in acc.iter_mut().enumerate() {
                     let wv = w[ob * n + i];
@@ -775,45 +806,32 @@ pub fn relu_backward(y: &[f32], gy: &mut [f32]) {
 /// Lane-major max-pool over [`LANES`] samples at once: `xt` is
 /// `[channels][len][LANES]`, `yt` receives
 /// `[channels][len/2][LANES]`. Each lane's select is `a >= b ? a : b`,
-/// NaN polarity included. Runs the AVX2 build of the kernel on CPUs
-/// that have it.
+/// NaN polarity included. Runs the widest build of the kernel the CPU
+/// has.
 pub fn maxpool2_lanes(xt: &[f32], channels: usize, len: usize, yt: &mut Vec<f32>) {
-    maxpool2_lanes_on(Isa::detected(), xt, channels, len, yt, None);
+    maxpool2_lanes_on::<LANES>(Isa::detected(), xt, channels, len, yt, None);
 }
 
-/// [`maxpool2_lanes`] for training: also records each lane's choice in
-/// `left` (`[channels][len/2]` lane columns, `true` where the pair's
-/// first element won), which [`maxpool2_lanes_backward`] routes the
-/// gradient by.
-pub(crate) fn maxpool2_lanes_train(
-    xt: &[f32],
-    channels: usize,
-    len: usize,
-    yt: &mut Vec<f32>,
-    left: &mut Vec<[bool; LANES]>,
-) {
-    left.clear();
-    left.resize(channels * (len / 2), [false; LANES]);
-    maxpool2_lanes_on(Isa::detected(), xt, channels, len, yt, Some(left));
-}
-
-/// [`maxpool2_lanes`] compiled for `isa`, recording the choices into
-/// `left` when given.
-pub(crate) fn maxpool2_lanes_on(
+/// [`maxpool2_lanes`] over a `W`-lane tile, compiled for `isa`. When
+/// training, `left` receives each lane's choice (`[channels][len/2]`
+/// lane columns, `true` where the pair's first element won), which
+/// [`maxpool2_lanes_backward`] routes the gradient by.
+pub(crate) fn maxpool2_lanes_on<const W: usize>(
     isa: Isa,
     xt: &[f32],
     channels: usize,
     len: usize,
     yt: &mut Vec<f32>,
-    left: Option<&mut [[bool; LANES]]>,
+    left: Option<&mut Vec<[bool; W]>>,
 ) {
-    assert_eq!(
-        xt.len(),
-        channels * len * LANES,
-        "max-pool input tile shape"
-    );
+    assert_eq!(xt.len(), channels * len * W, "max-pool input tile shape");
     yt.clear();
-    yt.resize(channels * (len / 2) * LANES, 0.0);
+    yt.resize(channels * (len / 2) * W, 0.0);
+    let left = left.map(|left| {
+        left.clear();
+        left.resize(channels * (len / 2), [false; W]);
+        left.as_mut_slice()
+    });
     isa.run(PoolTile {
         len,
         xt: xt.as_chunks().0,
@@ -822,19 +840,19 @@ pub(crate) fn maxpool2_lanes_on(
     });
 }
 
-/// The operands of one [`maxpool2_lanes`] call, viewed as 8-lane
+/// The operands of one [`maxpool2_lanes`] call, viewed as `W`-lane
 /// columns.
-struct PoolTile<'a> {
+struct PoolTile<'a, const W: usize> {
     len: usize,
     /// `[channels][len]` input lane columns.
-    xt: &'a [[f32; LANES]],
+    xt: &'a [[f32; W]],
     /// `[channels][len / 2]` output lane columns.
-    yt: &'a mut [[f32; LANES]],
+    yt: &'a mut [[f32; W]],
     /// `[channels][len / 2]` choice lane columns, when recorded.
-    left: Option<&'a mut [[bool; LANES]]>,
+    left: Option<&'a mut [[bool; W]]>,
 }
 
-impl Kernel for PoolTile<'_> {
+impl<const W: usize> Kernel for PoolTile<'_, W> {
     #[inline(always)]
     fn run(self) {
         let out_len = self.len / 2;
@@ -867,7 +885,8 @@ impl Kernel for PoolTile<'_> {
     }
 }
 
-/// Backward of [`maxpool2_lanes_train`]: `gyt` is the pooled gradient
+/// Backward of the training max-pool ([`maxpool2_lanes_on`] recording
+/// its choices): `gyt` is the pooled gradient
 /// `[channels][len/2][LANES]`, `gxt` receives `[channels][len][LANES]`
 /// with `0.0 + g` at each lane's recorded winner and `0.0` everywhere
 /// else (a trailing odd column included) — the bits of the one-sample
@@ -1121,28 +1140,33 @@ mod tests {
         }
     }
 
-    /// Every instruction set this CPU runs the lane kernels under.
+    /// Every instruction set this CPU runs the lane kernels under:
+    /// the baseline, AVX2 and AVX-512 builds, as far as it has them.
     fn isas() -> Vec<Isa> {
-        let mut isas = vec![Isa::BASELINE, Isa::detected()];
-        isas.dedup();
-        isas
+        Isa::supported().collect()
     }
 
-    /// Interleaves [`LANES`] equally long samples lane-major: element
-    /// `e` of sample `j` lands at `e * LANES + j`.
+    /// Interleaves equally long samples lane-major, one lane per
+    /// sample: element `e` of sample `j` lands at `e * width + j`.
     fn lane_major(samples: &[Vec<f32>]) -> Vec<f32> {
-        let mut xt = vec![0.0f32; samples[0].len() * LANES];
+        let width = samples.len();
+        let mut xt = vec![0.0f32; samples[0].len() * width];
         for (j, s) in samples.iter().enumerate() {
             for (e, &v) in s.iter().enumerate() {
-                xt[e * LANES + j] = v;
+                xt[e * width + j] = v;
             }
         }
         xt
     }
 
-    /// Lane `j` of a lane-major tile.
+    /// Lane `j` of a lane-major tile [`LANES`] lanes wide.
     fn lane(tile: &[f32], j: usize) -> Vec<f32> {
-        tile.iter().skip(j).step_by(LANES).copied().collect()
+        lane_of(tile, LANES, j)
+    }
+
+    /// Lane `j` of a lane-major tile `width` lanes wide.
+    fn lane_of(tile: &[f32], width: usize, j: usize) -> Vec<f32> {
+        tile.iter().skip(j).step_by(width).copied().collect()
     }
 
     /// A value from `-2..2`; `mode` 1 makes a quarter of them ±0.0
@@ -1259,7 +1283,7 @@ mod tests {
             let xt = lane_major(&xs);
             for isa in isas() {
                 let mut yt = Vec::new();
-                conv.forward_lanes_on(isa, &xt, len, &mut yt);
+                conv.forward_lanes_on::<LANES>(isa, &xt, len, &mut yt);
                 for (j, x) in xs.iter().enumerate() {
                     let mut y = Vec::new();
                     conv_forward_oracle(&conv, x, len, &mut y);
@@ -1291,7 +1315,7 @@ mod tests {
             let xt = lane_major(&samples);
             for isa in isas() {
                 let mut yt = Vec::new();
-                conv.forward_lanes_on(isa, &xt, len, &mut yt);
+                conv.forward_lanes_on::<LANES>(isa, &xt, len, &mut yt);
                 prop_assert_eq!(yt.len(), out_ch * len * LANES);
                 for (j, s) in samples.iter().enumerate() {
                     let mut y = Vec::new();
@@ -1303,9 +1327,10 @@ mod tests {
             }
         }
 
-        /// The baseline and AVX2 builds of every lane kernel give
-        /// identical bits, zeros and signed values included. (On a CPU
-        /// without AVX2 both runs take the baseline build.)
+        /// The baseline, AVX2 and AVX-512 builds of every lane kernel,
+        /// the 16-lane forward kernels included, give identical bits,
+        /// zeros and signed values included. (A CPU without AVX2 or
+        /// AVX-512 checks only the builds it runs.)
         #[test]
         fn lane_kernel_builds_give_identical_bits(
             seed in 0u64..1000,
@@ -1324,14 +1349,15 @@ mod tests {
             let mut dense = Dense::new(in_ch * len, out_ch, &mut rng);
             dense.w = (0..dense.w.len()).map(|_| value(&mut rng)).collect();
             let xt: Vec<f32> = (0..in_ch * len * LANES).map(|_| value(&mut rng)).collect();
+            let xt16: Vec<f32> = (0..in_ch * len * INFER_LANES).map(|_| value(&mut rng)).collect();
             let gyt: Vec<f32> = (0..out_ch * len * LANES).map(|_| value(&mut rng)).collect();
             let dgyt = &gyt[..out_ch * LANES];
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
             let run = |isa: Isa| {
                 let (mut c, mut d, mut p) = (Vec::new(), Vec::new(), Vec::new());
-                conv.forward_lanes_on(isa, &xt, len, &mut c);
-                dense.forward_batch_on(isa, &xt, &mut d);
-                maxpool2_lanes_on(isa, &xt, in_ch, len, &mut p, None);
+                conv.forward_lanes_on::<LANES>(isa, &xt, len, &mut c);
+                dense.forward_batch_on::<LANES>(isa, &xt, &mut d);
+                maxpool2_lanes_on::<LANES>(isa, &xt, in_ch, len, &mut p, None);
                 let (mut cg, mut dg) = (Vec::new(), Vec::new());
                 conv.input_grad_lanes_on(isa, &gyt, len, &mut cg);
                 dense.input_grad_batch_on(isa, dgyt, &mut dg);
@@ -1339,9 +1365,75 @@ mod tests {
                 conv.weight_grads_lanes_on(isa, &xt, len, &gyt, LANES, &mut cw, &mut cb);
                 let (mut dw, mut db) = (vec![0.5; dense.w.len()], vec![0.5; out_ch]);
                 dense.weight_grads_batch_on(isa, &xt, dgyt, LANES, &mut dw, &mut db);
-                [c, d, p, cg, dg, cw, cb, dw, db].map(|v| bits(&v))
+                let (mut c16, mut d16, mut p16) = (Vec::new(), Vec::new(), Vec::new());
+                conv.forward_lanes_on::<INFER_LANES>(isa, &xt16, len, &mut c16);
+                dense.forward_batch_on::<INFER_LANES>(isa, &xt16, &mut d16);
+                maxpool2_lanes_on::<INFER_LANES>(isa, &xt16, in_ch, len, &mut p16, None);
+                [c, d, p, cg, dg, cw, cb, dw, db, c16, d16, p16].map(|v| bits(&v))
             };
-            prop_assert_eq!(run(Isa::BASELINE), run(Isa::detected()));
+            let baseline = run(Isa::BASELINE);
+            for isa in isas() {
+                prop_assert_eq!(&run(isa), &baseline, "{:?}", isa);
+            }
+        }
+
+        /// The 16-row inference tiles of the conv, dense and max-pool
+        /// forward kernels are bitwise equal to the scalar references
+        /// on every lane, and to the 8-lane kernels on each half of the
+        /// tile, on every instruction set this CPU runs: with plain
+        /// random values, where a contracted multiply-add would show in
+        /// the rounding, and with ±0.0, NaN and ±∞ in the weights,
+        /// biases and inputs.
+        #[test]
+        fn wide_forward_kernels_match_oracles_and_8_lane_kernels(
+            seed in 0u64..1000,
+            len in 1usize..30,
+            in_ch in 1usize..9,
+            out_ch in 1usize..13,
+            kk in 0usize..3,
+            mode in 0usize..3,
+        ) {
+            const W: usize = INFER_LANES;
+            let k = 2 * kk + 1;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut conv = Conv1d::new(in_ch, out_ch, k, &mut rng);
+            conv.w = (0..conv.w.len()).map(|_| value(&mut rng, mode)).collect();
+            conv.b = (0..out_ch).map(|_| value(&mut rng, mode)).collect();
+            let mut dense = Dense::new(in_ch * len, out_ch, &mut rng);
+            dense.w = (0..dense.w.len()).map(|_| value(&mut rng, mode)).collect();
+            dense.b = (0..out_ch).map(|_| value(&mut rng, mode)).collect();
+            let xs: Vec<Vec<f32>> = (0..W / LANES)
+                .flat_map(|_| samples(&mut rng, in_ch * len, LANES, mode))
+                .collect();
+            let xt = lane_major(&xs);
+            let halves: Vec<Vec<f32>> = xs.chunks(LANES).map(lane_major).collect();
+            for isa in isas() {
+                let (mut c, mut d, mut p) = (Vec::new(), Vec::new(), Vec::new());
+                conv.forward_lanes_on::<W>(isa, &xt, len, &mut c);
+                dense.forward_batch_on::<W>(isa, &xt, &mut d);
+                maxpool2_lanes_on::<W>(isa, &xt, in_ch, len, &mut p, None);
+                for (j, x) in xs.iter().enumerate() {
+                    let (mut y, mut h) = (Vec::new(), Vec::new());
+                    conv_forward_oracle(&conv, x, len, &mut y);
+                    dense_forward_oracle(&dense, x, &mut h);
+                    let (pooled, _) = reference::maxpool2_argmax(x, in_ch, len);
+                    prop_assert_eq!(nan_bits(&lane_of(&c, W, j)), nan_bits(&y), "{:?} conv lane {}", isa, j);
+                    prop_assert_eq!(nan_bits(&lane_of(&d, W, j)), nan_bits(&h), "{:?} dense lane {}", isa, j);
+                    prop_assert_eq!(nan_bits(&lane_of(&p, W, j)), nan_bits(&pooled), "{:?} pool lane {}", isa, j);
+                }
+                for (half, xt8) in halves.iter().enumerate() {
+                    let (mut c8, mut d8, mut p8) = (Vec::new(), Vec::new(), Vec::new());
+                    conv.forward_lanes_on::<LANES>(isa, xt8, len, &mut c8);
+                    dense.forward_batch_on::<LANES>(isa, xt8, &mut d8);
+                    maxpool2_lanes_on::<LANES>(isa, xt8, in_ch, len, &mut p8, None);
+                    for j in 0..LANES {
+                        let wide = half * LANES + j;
+                        prop_assert_eq!(nan_bits(&lane(&c8, j)), nan_bits(&lane_of(&c, W, wide)), "{:?} conv lane {}", isa, wide);
+                        prop_assert_eq!(nan_bits(&lane(&d8, j)), nan_bits(&lane_of(&d, W, wide)), "{:?} dense lane {}", isa, wide);
+                        prop_assert_eq!(nan_bits(&lane(&p8, j)), nan_bits(&lane_of(&p, W, wide)), "{:?} pool lane {}", isa, wide);
+                    }
+                }
+            }
         }
 
         /// `Dense::forward_batch` lanes are bitwise equal to 8
@@ -1363,7 +1455,7 @@ mod tests {
             let xt = lane_major(&xs);
             for isa in isas() {
                 let mut out = Vec::new();
-                dense.forward_batch_on(isa, &xt, &mut out);
+                dense.forward_batch_on::<LANES>(isa, &xt, &mut out);
                 for (j, x) in xs.iter().enumerate() {
                     let mut y = Vec::new();
                     dense_forward_oracle(&dense, x, &mut y);
@@ -1484,14 +1576,14 @@ mod tests {
             let xt = lane_major(&xs);
             for isa in isas() {
                 let mut yt = Vec::new();
-                maxpool2_lanes_on(isa, &xt, channels, len, &mut yt, None);
+                maxpool2_lanes_on::<LANES>(isa, &xt, channels, len, &mut yt, None);
                 for (j, x) in xs.iter().enumerate() {
                     let (y, _) = reference::maxpool2_argmax(x, channels, len);
                     prop_assert_eq!(nan_bits(&lane(&yt, j)), nan_bits(&y), "{:?} lane {} y", isa, j);
                 }
             }
             let (mut yt, mut left, mut gxt) = (Vec::new(), Vec::new(), Vec::new());
-            maxpool2_lanes_train(&xt, channels, len, &mut yt, &mut left);
+            maxpool2_lanes_on(Isa::detected(), &xt, channels, len, &mut yt, Some(&mut left));
             if len >= 2 {
                 maxpool2_lanes_backward(&lane_major(&gys), &left, channels, len, &mut gxt);
             } else {
@@ -1778,7 +1870,14 @@ mod tests {
         maxpool2_lanes(&lane0_tile(&x), 2, 4, &mut yt);
         assert_eq!(lane(&yt, 0), vec![3.0, 2.0, 5.0, 8.0]);
         let (mut yt, mut left, mut gxt) = (Vec::new(), Vec::new(), Vec::new());
-        maxpool2_lanes_train(&lane0_tile(&x), 2, 4, &mut yt, &mut left);
+        maxpool2_lanes_on(
+            Isa::detected(),
+            &lane0_tile(&x),
+            2,
+            4,
+            &mut yt,
+            Some(&mut left),
+        );
         assert_eq!(lane(&yt, 0), vec![3.0, 2.0, 5.0, 8.0]);
         maxpool2_lanes_backward(&[1.0; 4 * LANES], &left, 2, 4, &mut gxt);
         assert_eq!(lane(&gxt, 0), vec![0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0]);

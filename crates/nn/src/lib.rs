@@ -6,17 +6,19 @@
 //! matching the paper's 2-layer 32→64-channel + FC-1024 architecture,
 //! and [`optim`] with Adam and momentum-SGD.
 //!
-//! Inference and training both run on *lane-major tiles* of
-//! [`layers::LANES`] = 8 samples, where the sample is the innermost
-//! index and every arithmetic op is an 8-wide SIMD op; the lane
-//! kernels are register-blocked and run the AVX2 build on CPUs that
-//! have it. There is one inference path, [`predict_fused`] (with
-//! [`TextCnn::predict_batch`] its one-model case): a single row is
-//! classified as a batch of one. Training splits each minibatch into
-//! 8-sample shards, runs each shard as one tile — forward, then the
-//! backward kernels, with the first convolution's input gradient
-//! skipped because the embeddings are frozen — and reduces the shard
-//! gradients in shard order across CPU cores. Every float chain is the
+//! Inference and training both run on *lane-major tiles*, where the
+//! sample is the innermost index and every arithmetic op is a SIMD op
+//! across the tile: 16-row tiles for inference, [`layers::LANES`] = 8
+//! samples for training. The lane kernels are register-blocked, have
+//! one body per kernel for both widths, and run the widest build the
+//! CPU has — baseline, AVX2 or AVX-512 ([`kernel_isa`]). There is one
+//! inference path, [`predict_fused`] (with [`TextCnn::predict_batch`]
+//! its one-model case): a single row is classified as a batch of one.
+//! Training splits each minibatch into 8-sample shards, runs each
+//! shard as one tile — forward, then the backward kernels, with the
+//! first convolution's input gradient skipped because the embeddings
+//! are frozen — and reduces the shard gradients in shard order across
+//! CPU cores. Every float chain is the
 //! one a one-sample pass computes, so predictions do not depend on the
 //! batch around a row and the trained weights are bitwise those of
 //! training sample by sample, for any thread count. The one-sample
@@ -45,9 +47,9 @@
 //! ```
 
 // `deny` rather than `forbid`: one documented module holds the
-// crate's unsafe code — `isa` (the one call into the AVX2 build of
-// the lane kernels); everything else stays unsafe-free and any new
-// unsafe outside it is a compile error.
+// crate's unsafe code — `isa` (the calls into the AVX2 and AVX-512
+// builds of the lane kernels); everything else stays unsafe-free and
+// any new unsafe outside it is a compile error.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
@@ -61,6 +63,13 @@ pub mod tensor;
 pub use model::{predict_fused, NoHook, SampleSource, TextCnn, TextCnnConfig, TrainHook};
 pub use optim::{Adam, GradBuffers, Sgd};
 pub use tensor::{argmax, fill_rows, Rows, Tensor};
+
+/// The build of the lane kernels this CPU runs: `"baseline"`, `"avx2"`
+/// or `"avx512"`. Every build gives the same bits; run manifests
+/// record which one ran, since it sets the speed.
+pub fn kernel_isa() -> &'static str {
+    isa::Isa::detected().name()
+}
 
 /// A layer's weight or bias tensor: plain owned floats. The name is
 /// kept for code outside the workspace (perfbench) that builds

@@ -6,9 +6,10 @@
 //! c2=64, fc=1024 over a 21×96 input; everything is configurable so
 //! tests can run a tiny instance.
 
+use crate::isa::Isa;
 use crate::layers::{
-    cross_entropy_backward, maxpool2_lanes, maxpool2_lanes_backward, maxpool2_lanes_train, relu,
-    relu_backward, softmax, Conv1d, Dense, LANES,
+    cross_entropy_backward, maxpool2_lanes_backward, maxpool2_lanes_on, relu, relu_backward,
+    softmax, Conv1d, Dense, INFER_LANES, LANES,
 };
 use crate::optim::{Adam, GradBuffers};
 use crate::tensor::{Rows, Tensor};
@@ -145,34 +146,35 @@ pub struct TextCnn {
     fc2: Dense,
 }
 
-/// Per-thread scratch of the fused tile pass ([`predict_fused`]): the
-/// lane-major activation tiles of one [`LANES`]-sample tile, reused by
-/// every model and every tile a worker runs.
+/// Scratch of one `W`-lane network pass: the lane-major activation
+/// tiles, reused by every model and every tile a worker runs. The
+/// fused inference pass ([`predict_fused`]) runs [`INFER_LANES`]-row
+/// tiles, training [`LANES`]-sample ones.
 #[derive(Debug, Default)]
-struct TileWorkspace {
-    /// Input tile transposed to `[embed_dim][seq_len][LANES]`.
+struct TileWorkspace<const W: usize> {
+    /// Input tile transposed to `[embed_dim][seq_len][W]`.
     xt: Vec<f32>,
-    /// First conv activations `[conv1][seq_len][LANES]`.
+    /// First conv activations `[conv1][seq_len][W]`.
     c1t: Vec<f32>,
-    /// First pooled activations `[conv1][seq_len/2][LANES]`.
+    /// First pooled activations `[conv1][seq_len/2][W]`.
     p1t: Vec<f32>,
-    /// Second conv activations `[conv2][seq_len/2][LANES]`.
+    /// Second conv activations `[conv2][seq_len/2][W]`.
     c2t: Vec<f32>,
-    /// Second pooled activations `[conv2][seq_len/4][LANES]` — which
-    /// flattened is exactly the `[fc_in][LANES]` tile
-    /// [`Dense::forward_batch`] consumes.
+    /// Second pooled activations `[conv2][seq_len/4][W]` — which
+    /// flattened is exactly the `[fc_in][W]` tile the dense kernel
+    /// consumes.
     p2t: Vec<f32>,
-    /// Hidden activations `[fc][LANES]`.
+    /// Hidden activations `[fc][W]`.
     h: Vec<f32>,
-    /// Logits `[classes][LANES]`.
+    /// Logits `[classes][W]`.
     logits: Vec<f32>,
-    /// Per-sample probabilities `[LANES][Σ classes]`: row `j` holds
-    /// sample `j`'s softmax rows of every model, in model order.
+    /// Per-row probabilities `[W][Σ classes]`: row `j` holds row `j`'s
+    /// softmax rows of every model, in model order (inference only).
     probs: Vec<f32>,
     /// The two max-pools' recorded choices, `[conv1][seq_len/2]` and
     /// `[conv2][seq_len/4]` lane columns (training only).
-    left1: Vec<[bool; LANES]>,
-    left2: Vec<[bool; LANES]>,
+    left1: Vec<[bool; W]>,
+    left2: Vec<[bool; W]>,
 }
 
 /// Samples per minibatch shard: one lane-major tile.
@@ -184,7 +186,7 @@ const SHARD: usize = LANES;
 /// source's decode buffer, reused by every shard the worker runs.
 #[derive(Debug, Default)]
 struct TrainTile {
-    tw: TileWorkspace,
+    tw: TileWorkspace<LANES>,
     /// One live lane's probabilities, turned into its logit
     /// gradients in place.
     probs: Vec<f32>,
@@ -212,19 +214,23 @@ struct TrainScratch {
 /// fused, tiled pass, combined per row into `cols` outputs.
 ///
 /// Every model must take the same input shape (`seq_len` ×
-/// `embed_dim`). Rows go in [`LANES`]-row tiles, split over the
-/// workers in contiguous runs; each worker transposes a tile once
-/// into the lane-major `[embed_dim][seq_len][LANES]` layout and runs
-/// every model's network on it ([`Conv1d::forward_lanes`],
-/// [`maxpool2_lanes`], [`relu`], [`Dense::forward_batch`]). The last
-/// partial tile is padded with zero lanes, whose outputs are dropped.
+/// `embed_dim`). Rows go in 16-row tiles, split over the workers in
+/// contiguous runs; each worker transposes a tile once into the
+/// lane-major `[embed_dim][seq_len][16]` layout and runs every model's
+/// network on it: the 16-lane builds of the kernels behind
+/// [`Conv1d::forward_lanes`], [`crate::layers::maxpool2_lanes`] and
+/// [`Dense::forward_batch`], then [`relu`]. The widest instruction set
+/// the CPU has runs them (AVX-512, where a tile column is one
+/// register). The last partial tile is padded with zero lanes, whose
+/// outputs are dropped.
 /// For each row, `combine(probs, out)` then receives the
 /// concatenation of every model's softmax probabilities, in model
 /// order, and writes the row's `cols` outputs.
 ///
 /// Each lane keeps one row's float chains and rows never mix, so a
-/// row's probabilities are the same bits whatever the tile, lane or
-/// worker count; the tests pin them to a scalar one-sample forward.
+/// row's probabilities are the same bits whatever the tile width, lane,
+/// worker count or instruction set; the tests pin them to a scalar
+/// one-sample forward.
 ///
 /// # Panics
 ///
@@ -235,7 +241,7 @@ where
     R: Rows + ?Sized,
     F: Fn(&[f32], &mut [f32]) + Sync,
 {
-    const L: usize = LANES;
+    const L: usize = INFER_LANES;
     let Some(head) = models.first() else {
         return Tensor::zeros(xs.count(), cols);
     };
@@ -248,11 +254,12 @@ where
     );
     let width_in = len * embed_dim;
     let width: usize = models.iter().map(|m| m.cfg.classes).sum();
+    let isa = Isa::detected();
     Tensor::build_row_blocks(
         xs.count(),
         cols,
         L,
-        TileWorkspace::default,
+        TileWorkspace::<L>::default,
         |tw, first, chunk| {
             let n = chunk.len() / cols;
             let mut rows: [&[f32]; L] = [&[]; L];
@@ -260,8 +267,8 @@ where
                 *row = xs.row_at(first + j);
                 assert_eq!(row.len(), width_in, "input row length");
             }
-            // Transpose in 8×8 blocks, so both the row reads and the
-            // tile writes stay within a few cache lines.
+            // Transpose in 16×16 blocks, so both the row reads and
+            // the tile writes stay within a few cache lines.
             tw.xt.clear();
             tw.xt.resize(width_in * L, 0.0);
             for (e0, dst) in (0..width_in).step_by(L).zip(tw.xt.chunks_mut(L * L)) {
@@ -275,7 +282,7 @@ where
             tw.probs.resize(L * width, 0.0);
             let mut offset = 0;
             for model in models {
-                model.forward_tile(tw, false);
+                model.forward_tile(isa, tw, false);
                 let classes = model.cfg.classes;
                 for (j, row) in tw.probs.chunks_exact_mut(width).take(n).enumerate() {
                     let out = &mut row[offset..offset + classes];
@@ -393,38 +400,39 @@ impl TextCnn {
     /// table without copying it.
     ///
     /// This is the one-model case of [`predict_fused`]: rows run in
-    /// [`LANES`]-row lane-major tiles through the register-blocked
-    /// lane kernels, and every weight matrix streams through once per
-    /// tile instead of once per sample.
+    /// 16-row lane-major tiles through the register-blocked lane
+    /// kernels (the AVX-512 build where the CPU has it), and every
+    /// weight matrix streams through once per tile instead of once per
+    /// sample.
     pub fn predict_batch<R: Rows + ?Sized>(&self, xs: &R) -> Tensor {
         predict_fused(&[self], xs, self.cfg.classes, |probs, out| {
             out.copy_from_slice(probs);
         })
     }
 
-    /// Runs the network on the lane-major input tile `tw.xt`, leaving
-    /// the `[classes][LANES]` logits in `tw.logits`; `train` also
-    /// records the max-pool choices the backward pass routes by.
-    fn forward_tile(&self, tw: &mut TileWorkspace, train: bool) {
+    /// Runs the network under `isa` on the `W`-lane input tile
+    /// `tw.xt`, leaving the `[classes][W]` logits in `tw.logits`;
+    /// `train` also records the max-pool choices the backward pass
+    /// routes by.
+    fn forward_tile<const W: usize>(&self, isa: Isa, tw: &mut TileWorkspace<W>, train: bool) {
         let len = self.cfg.seq_len;
         let len2 = len / 2;
-        self.conv1.forward_lanes(&tw.xt, len, &mut tw.c1t);
+        let (left1, left2) = if train {
+            (Some(&mut tw.left1), Some(&mut tw.left2))
+        } else {
+            (None, None)
+        };
+        self.conv1
+            .forward_lanes_on::<W>(isa, &tw.xt, len, &mut tw.c1t);
         relu(&mut tw.c1t);
-        if train {
-            maxpool2_lanes_train(&tw.c1t, self.cfg.conv1, len, &mut tw.p1t, &mut tw.left1);
-        } else {
-            maxpool2_lanes(&tw.c1t, self.cfg.conv1, len, &mut tw.p1t);
-        }
-        self.conv2.forward_lanes(&tw.p1t, len2, &mut tw.c2t);
+        maxpool2_lanes_on(isa, &tw.c1t, self.cfg.conv1, len, &mut tw.p1t, left1);
+        self.conv2
+            .forward_lanes_on::<W>(isa, &tw.p1t, len2, &mut tw.c2t);
         relu(&mut tw.c2t);
-        if train {
-            maxpool2_lanes_train(&tw.c2t, self.cfg.conv2, len2, &mut tw.p2t, &mut tw.left2);
-        } else {
-            maxpool2_lanes(&tw.c2t, self.cfg.conv2, len2, &mut tw.p2t);
-        }
-        self.fc1.forward_batch(&tw.p2t, &mut tw.h);
+        maxpool2_lanes_on(isa, &tw.c2t, self.cfg.conv2, len2, &mut tw.p2t, left2);
+        self.fc1.forward_batch_on::<W>(isa, &tw.p2t, &mut tw.h);
         relu(&mut tw.h);
-        self.fc2.forward_batch(&tw.h, &mut tw.logits);
+        self.fc2.forward_batch_on::<W>(isa, &tw.h, &mut tw.logits);
     }
 
     /// Forward and backward over the lane-major input tile `tt.tw.xt`,
@@ -441,7 +449,7 @@ impl TextCnn {
     fn train_tile(&self, tt: &mut TrainTile, labels: &[usize], grads: &mut GradBuffers) -> f64 {
         let (len, live, classes) = (self.cfg.seq_len, labels.len(), self.cfg.classes);
         let len2 = len / 2;
-        self.forward_tile(&mut tt.tw, true);
+        self.forward_tile(Isa::detected(), &mut tt.tw, true);
         let tw = &tt.tw;
         tt.glogits.clear();
         tt.glogits.resize(classes * LANES, 0.0);
@@ -733,11 +741,11 @@ mod tests {
     fn predict_batch_is_bitwise_equal_to_per_sample_predict() {
         for cfg in [TextCnnConfig::tiny(4, 5), medium(), odd(3), odd(19)] {
             let model = TextCnn::new(cfg, 21);
-            // 19 rows: two full 8-lane tiles plus a 3-row tail.
-            let data = toy_dataset(cfg, 19);
+            // 35 rows: two full 16-row tiles plus a 3-row tail.
+            let data = toy_dataset(cfg, 35);
             let rows: Vec<&Vec<f32>> = data.iter().map(|(x, _)| x).collect();
             let batch = model.predict_batch(&rows);
-            assert_eq!((batch.rows(), batch.cols()), (19, cfg.classes));
+            assert_eq!((batch.rows(), batch.cols()), (35, cfg.classes));
             for (i, row) in rows.iter().enumerate() {
                 let single = oracle::predict(&model, row);
                 let a: Vec<u32> = batch.row(i).iter().map(|v| v.to_bits()).collect();

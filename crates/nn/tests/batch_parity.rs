@@ -1,8 +1,8 @@
 //! Parity harness for the batched inference path: every row of a
 //! `predict_batch` call must be bitwise the prediction of that row
 //! alone (a batch of one), for untrained and trained models, across
-//! the tile and worker boundaries of the work splitter and every
-//! register-block remainder of the lane kernels — so no row's
+//! the 16-row tile and worker boundaries of the work splitter and
+//! every register-block remainder of the lane kernels — so no row's
 //! prediction depends on the rows batched with it. (The fused pass
 //! itself is pinned to a scalar one-sample forward by the `cati-nn`
 //! unit tests.)
@@ -11,9 +11,10 @@ use cati_nn::{Adam, TextCnn, TextCnnConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Row counts around the 8-lane tile: empty, a lone partial tile, one
-/// short of a tile, exactly one, one over, and several with a tail.
-const ROW_COUNTS: [usize; 6] = [0, 1, 7, 8, 9, 23];
+/// Row counts around the 16-row inference tile and its 8-lane halves:
+/// empty, a lone row, one short of, at and one over each half and
+/// each tile, and two tiles with a short or long tail.
+const ROW_COUNTS: [usize; 10] = [0, 1, 7, 8, 9, 15, 16, 17, 31, 33];
 
 /// Deterministic pseudo-inputs covering a range of magnitudes.
 fn inputs(cfg: &TextCnnConfig, n: usize) -> Vec<Vec<f32>> {
@@ -79,7 +80,7 @@ fn predict_batch_matches_predict_after_training() {
     for _ in 0..3 {
         model.train_epoch(&data, &mut opt, 6, &mut rng);
     }
-    assert_parity(&model, &inputs(&cfg, 19));
+    assert_parity_all_counts(&model);
 }
 
 #[test]

@@ -236,7 +236,14 @@ impl Manifest {
         let mut out = String::new();
         let meta = &self.meta;
         let _ = writeln!(out, "run: {}", meta["name"].as_str().unwrap_or("?"));
-        for key in ["scale", "seed", "threads", "git_rev", "started_unix_ms"] {
+        for key in [
+            "scale",
+            "seed",
+            "threads",
+            "kernel_isa",
+            "git_rev",
+            "started_unix_ms",
+        ] {
             if !meta[key].is_null() {
                 let _ = writeln!(out, "  {key}: {}", render_scalar(&meta[key]));
             }
