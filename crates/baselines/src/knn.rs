@@ -135,15 +135,7 @@ mod tests {
         assert!(knn.signature_count() > 20);
         // Training accuracy is bounded away from zero and from one —
         // one because uncertain samples collide.
-        let mut ok = 0;
-        let mut n = 0;
-        for ex in &exs {
-            for (i, var) in ex.labeled_vars() {
-                n += 1;
-                ok += usize::from(knn.predict_var(ex, i) == var.class.unwrap());
-            }
-        }
-        let acc = ok as f64 / n as f64;
+        let acc = crate::variable_accuracy(&knn, &exs).accuracy();
         assert!(acc > 0.4, "training accuracy {acc:.2} too low");
         assert!(
             knn.collision_rate() > 0.02,

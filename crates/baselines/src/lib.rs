@@ -22,6 +22,7 @@ pub mod knn;
 pub mod nocontext;
 pub mod rules;
 
+use cati::Confusion;
 use cati_analysis::Extraction;
 use cati_dwarf::TypeClass;
 
@@ -38,24 +39,19 @@ pub trait VarTyper {
     fn predict_var(&self, ex: &Extraction, var_idx: usize) -> TypeClass;
 }
 
-/// Variable-level accuracy of a typer over labeled extractions.
+/// Variable-level confusion of a typer over labeled extractions.
 pub fn variable_accuracy<'a>(
     typer: &dyn VarTyper,
     extractions: impl IntoIterator<Item = &'a Extraction>,
-) -> f64 {
-    let mut ok = 0u64;
-    let mut n = 0u64;
+) -> Confusion {
+    let mut m = Confusion::new(TypeClass::ALL.len());
     for ex in extractions {
         for (i, var) in ex.labeled_vars() {
-            n += 1;
-            ok += u64::from(typer.predict_var(ex, i) == var.class.expect("labeled"));
+            let truth = var.class.expect("labeled");
+            m.record(truth.index(), typer.predict_var(ex, i).index());
         }
     }
-    if n == 0 {
-        0.0
-    } else {
-        ok as f64 / n as f64
-    }
+    m
 }
 
 #[cfg(test)]
@@ -73,7 +69,7 @@ mod tests {
             .take(6)
             .map(|b| extract(&b.binary, FeatureView::WithSymbols).unwrap())
             .collect();
-        let acc = variable_accuracy(&RuleTyper, &exs);
+        let acc = variable_accuracy(&RuleTyper, &exs).accuracy();
         assert!(acc > 0.10, "rule accuracy {acc:.3} below chance-ish floor");
         assert!(acc < 0.9, "rule accuracy {acc:.3} suspiciously high");
     }

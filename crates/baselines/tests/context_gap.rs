@@ -1,7 +1,9 @@
 //! The paper's central claim, as an executable test: context features
 //! (the VUC) beat context-free methods on the same data.
 
-use cati::{embedding_sentences, Cati, Config, Dataset};
+use cati::{
+    embedding_sentences, pipeline_confusions, Cati, Config, Confusion, Dataset, EmbeddedExtraction,
+};
 use cati_analysis::FeatureView;
 use cati_baselines::{variable_accuracy, NoContextCati, RuleTyper, SignatureKnn, SignatureWidth};
 use cati_dwarf::TypeClass;
@@ -18,25 +20,27 @@ fn gap_experiment(corpus_cfg: CorpusConfig, config: Config) -> (f64, f64, f64, f
     let test: Vec<&cati_analysis::Extraction> = test_ds.iter().map(|(_, e)| e).collect();
 
     // Full CATI, variable level.
-    let mut ok = 0.0;
-    let mut n = 0u64;
+    let mut vars = Confusion::new(TypeClass::ALL.len());
     for ex in &test {
-        let (_, _, ra, rn) = cati::pipeline_accuracy(&cati, ex);
-        ok += ra * rn as f64;
-        n += rn;
+        vars += &pipeline_confusions(&cati, &EmbeddedExtraction::new(&cati.embedder, ex)).1;
     }
-    let cati_acc = ok / n.max(1) as f64;
 
     // No-context ablation reusing the same embedder.
     let nocontext = NoContextCati::train(&train_ds, &cati.embedder, &config);
-    let nc_acc = variable_accuracy(&nocontext, test.iter().copied());
+    let nc = variable_accuracy(&nocontext, test.iter().copied());
 
     // Rules and signature k-NN.
-    let rules_acc = variable_accuracy(&RuleTyper, test.iter().copied());
+    let rules = variable_accuracy(&RuleTyper, test.iter().copied());
     let train_refs: Vec<&cati_analysis::Extraction> = train_ds.iter().map(|(_, e)| e).collect();
     let knn = SignatureKnn::train(train_refs.iter().copied(), SignatureWidth::TargetOnly);
-    let knn_acc = variable_accuracy(&knn, test.iter().copied());
-    (cati_acc, nc_acc, rules_acc, knn_acc, n)
+    let knn = variable_accuracy(&knn, test.iter().copied());
+    (
+        vars.accuracy(),
+        nc.accuracy(),
+        rules.accuracy(),
+        knn.accuracy(),
+        vars.total(),
+    )
 }
 
 /// Quick sanity version: at tiny scale the context model cannot be

@@ -11,10 +11,11 @@
 
 use cati::dataset::embed_extraction;
 use cati::report::Table;
-use cati::vote;
-use cati_bench::{load_ctx_observed, RunObs, Scale};
+use cati::{vote, Confusion};
+use cati_bench::{load_ctx_observed, scored, RunObs, Scale};
 use cati_dwarf::TypeClass;
 use cati_synbin::Compiler;
+use serde_json::json;
 
 fn main() {
     let scale = Scale::from_args();
@@ -38,13 +39,13 @@ fn main() {
     }
 
     let mut table = Table::new(&["threshold", "variable accuracy", "note"]);
+    let mut rows = Vec::new();
     for &threshold in &[0.5f32, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 1.1] {
-        let mut ok = 0u64;
+        let mut vars = Confusion::new(TypeClass::ALL.len());
         for (class, dists) in &per_var {
-            let pred = vote(dists, threshold).class;
-            ok += u64::from(TypeClass::ALL[pred] == *class);
+            vars.record(class.index(), vote(dists, threshold).class);
         }
-        let acc = ok as f64 / per_var.len().max(1) as f64;
+        let acc = vars.accuracy();
         let note = if threshold == 0.9 {
             "paper's choice"
         } else if threshold > 1.0 {
@@ -57,6 +58,7 @@ fn main() {
             format!("{acc:.4}"),
             note.into(),
         ]);
+        rows.push(json!({ "threshold": format!("{threshold:.2}"), "var": scored(&vars) }));
     }
     println!(
         "\nAblation — voting threshold ({}; {} variables)\n",
@@ -64,4 +66,6 @@ fn main() {
         per_var.len()
     );
     println!("{}", table.render());
+
+    run.finish(&json!({ "scale": scale.name(), "thresholds": rows }));
 }

@@ -21,12 +21,13 @@
 //!
 //! `--quick` trims the width axis to {0, 10} for CI smoke runs.
 
-use cati::dataset::embed_extraction;
 use cati::report::Table;
-use cati::{vote, ContextMode, Dataset, MultiStage};
-use cati_analysis::{Extraction, FeatureView, WINDOW};
+use cati::{
+    pipeline_confusions, Cati, Confusion, ContextMode, Dataset, EmbeddedExtraction, MultiStage,
+};
+use cati_analysis::{FeatureView, WINDOW};
 use cati_asm::generalize::GenInsn;
-use cati_bench::{load_ctx_observed, RunObs, Scale};
+use cati_bench::{load_ctx_observed, scored, RunObs, Scale};
 use cati_dwarf::TypeClass;
 use cati_synbin::Compiler;
 use serde_json::json;
@@ -62,40 +63,22 @@ fn mask_dataset(ds: &Dataset, w: usize) -> Dataset {
     }
 }
 
-fn accuracies(
-    stages: &MultiStage,
-    embedder: &cati_embedding::VucEmbedder,
-    test: &Dataset,
-    threshold: f32,
-) -> (f64, f64) {
-    let mut vuc_ok = 0u64;
-    let mut vuc_n = 0u64;
-    let mut var_ok = 0u64;
-    let mut var_n = 0u64;
+/// Scores `stages`, trained on one variant of the data, with the
+/// pipeline scorer around the context model's embedder and config.
+fn score(base: &Cati, stages: MultiStage, test: &Dataset) -> (Confusion, Confusion) {
+    let cati = Cati {
+        config: base.config,
+        embedder: base.embedder.clone(),
+        stages,
+    };
+    let mut vucs = Confusion::new(TypeClass::ALL.len());
+    let mut vars = vucs.clone();
     for (_, ex) in test.iter() {
-        let ex: &Extraction = ex;
-        let xs = embed_extraction(ex, embedder);
-        let dists = stages.leaf_distributions_batch(&xs);
-        for (vuc, dist) in ex.vucs.iter().zip(dists.rows_iter()) {
-            let Some(class) = vuc.class(&ex.vars) else {
-                continue;
-            };
-            let pred = cati::argmax(dist);
-            vuc_n += 1;
-            vuc_ok += u64::from(TypeClass::ALL[pred] == class);
-        }
-        for var in &ex.vars {
-            let Some(class) = var.class else { continue };
-            let vd: Vec<&[f32]> = var.vucs.iter().map(|&v| dists.row(v as usize)).collect();
-            let pred = vote(&vd, threshold).class;
-            var_n += 1;
-            var_ok += u64::from(TypeClass::ALL[pred] == class);
-        }
+        let (v, r) = pipeline_confusions(&cati, &EmbeddedExtraction::new(&cati.embedder, ex));
+        vucs += &v;
+        vars += &r;
     }
-    (
-        vuc_ok as f64 / vuc_n.max(1) as f64,
-        var_ok as f64 / var_n.max(1) as f64,
-    )
+    (vucs, vars)
 }
 
 fn main() {
@@ -114,17 +97,17 @@ fn main() {
         let train = mask_dataset(&ctx.train, w);
         let test = mask_dataset(&ctx.test, w);
         let stages = MultiStage::train(&train, &ctx.cati.embedder, &config, &cati::obs::NOOP);
-        let (vuc, var) = accuracies(&stages, &ctx.cati.embedder, &test, config.vote_threshold);
+        let (vucs, vars) = score(&ctx.cati, stages, &test);
         let note = match w {
             0 => "target only (no context)",
             10 => "paper's VUC",
             _ => "",
         };
-        width_rows.push(json!({ "w": w, "vuc_accuracy": vuc, "var_accuracy": var }));
+        width_rows.push(json!({ "w": w, "vuc": scored(&vucs), "var": scored(&vars) }));
         table.row(vec![
             format!("{w}"),
-            format!("{vuc:.4}"),
-            format!("{var:.4}"),
+            format!("{:.4}", vucs.accuracy()),
+            format!("{:.4}", vars.accuracy()),
             note.into(),
         ]);
     }
@@ -152,20 +135,20 @@ fn main() {
             &cati::obs::NOOP,
         );
         let stages = MultiStage::train(&train, &ctx.cati.embedder, &config, &cati::obs::NOOP);
-        let (vuc, var) = accuracies(&stages, &ctx.cati.embedder, &test, config.vote_threshold);
+        let (vucs, vars) = score(&ctx.cati, stages, &test);
         let note = match mode {
             ContextMode::FunctionLocal => "paper baseline",
             ContextMode::Interprocedural => "call/ret splicing",
         };
         mode_rows.push(json!({
             "mode": mode.name(),
-            "vuc_accuracy": vuc,
-            "var_accuracy": var,
+            "vuc": scored(&vucs),
+            "var": scored(&vars),
         }));
         mode_table.row(vec![
             mode.name().to_string(),
-            format!("{vuc:.4}"),
-            format!("{var:.4}"),
+            format!("{:.4}", vucs.accuracy()),
+            format!("{:.4}", vars.accuracy()),
             note.into(),
         ]);
     }

@@ -5,7 +5,7 @@
 //! cargo run --release -p cati-bench --bin exp_compiler_id -- --scale medium
 //! ```
 
-use cati::{embedding_sentences, CompilerId};
+use cati::{embedding_sentences, CompilerId, Confusion};
 use cati_analysis::{Extraction, FeatureView};
 use cati_bench::{RunObs, Scale, SEED};
 use cati_embedding::{VucEmbedder, Word2Vec};
@@ -50,19 +50,19 @@ fn main() {
 
     eprintln!("[compiler-id] training...");
     let id = CompilerId::train(&train_refs, &embedder, &config);
-    let vuc_acc = id.accuracy(&embedder, &test_refs);
-    let bin_ok = test_refs
-        .iter()
-        .filter(|(ex, c)| id.predict_binary(&embedder, ex) == *c)
-        .count();
+    let vucs = id.accuracy(&embedder, &test_refs);
+    let mut bins = Confusion::new(2);
+    for (ex, c) in &test_refs {
+        bins.record(*c as usize, id.predict_binary(&embedder, ex) as usize);
+    }
 
     println!("\nCompiler identification (paper §VIII)\n");
-    println!("VUC-level accuracy:    {:.2}%", vuc_acc * 100.0);
+    println!("VUC-level accuracy:    {:.2}%", vucs.accuracy() * 100.0);
     println!(
         "binary-level accuracy: {:.2}% ({}/{})",
-        100.0 * bin_ok as f64 / test_refs.len() as f64,
-        bin_ok,
-        test_refs.len()
+        100.0 * bins.accuracy(),
+        bins.correct(),
+        bins.total()
     );
     println!("paper: 100% accuracy from register-usage differences");
 }

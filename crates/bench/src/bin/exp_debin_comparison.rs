@@ -8,14 +8,16 @@
 //! ```
 
 use cati::report::Table;
-use cati::DebinTask;
+use cati::{pipeline_confusions, Confusion, DebinTask, EmbeddedExtraction};
 use cati_analysis::Extraction;
 use cati_baselines::{
     blank_extraction, variable_accuracy, NoContextCati, RuleTyper, SignatureKnn, SignatureWidth,
     VarTyper,
 };
-use cati_bench::{load_ctx_observed, RunObs, Scale};
+use cati_bench::{load_ctx_observed, scored, RunObs, Scale};
+use cati_dwarf::TypeClass;
 use cati_synbin::Compiler;
+use serde_json::json;
 
 fn main() {
     let scale = Scale::from_args();
@@ -28,8 +30,8 @@ fn main() {
     // --- 17-type task: CATI (flat 17-class + voting) vs a
     // dependency-only variant (blanked context = DEBIN-style features).
     eprintln!("[debin] training 17-type CATI head...");
-    let cati17 = DebinTask::train(&train, &ctx.cati.embedder, &config);
-    let cati17_acc = cati17.accuracy(&test, &ctx.cati.embedder);
+    let cati17 =
+        DebinTask::train(&train, &ctx.cati.embedder, &config).accuracy(&test, &ctx.cati.embedder);
 
     eprintln!("[debin] training 17-type no-context head...");
     let blanked_train: Vec<Extraction> = train.iter().map(|e| blank_extraction(e)).collect();
@@ -37,7 +39,7 @@ fn main() {
     let nocontext17 = DebinTask::train(&blanked_refs, &ctx.cati.embedder, &config);
     let blanked_test: Vec<Extraction> = test.iter().map(|e| blank_extraction(e)).collect();
     let blanked_test_refs: Vec<&Extraction> = blanked_test.iter().collect();
-    let nocontext17_acc = nocontext17.accuracy(&blanked_test_refs, &ctx.cati.embedder);
+    let nocontext17 = nocontext17.accuracy(&blanked_test_refs, &ctx.cati.embedder);
 
     // --- 19-type task: baseline ladder.
     eprintln!("[debin] training no-context 19-type baseline...");
@@ -46,17 +48,13 @@ fn main() {
     let knn_narrow = SignatureKnn::train(train.iter().copied(), SignatureWidth::TargetOnly);
     let knn_wide = SignatureKnn::train(train.iter().copied(), SignatureWidth::TargetPlusMinusOne);
 
-    let cati_acc_19 = {
-        let mut ok = 0.0;
-        let mut n = 0u64;
-        for ex in &test {
-            let (_, _, ra, rn) = cati::pipeline_accuracy(&ctx.cati, ex);
-            ok += ra * rn as f64;
-            n += rn;
-        }
-        ok / n.max(1) as f64
-    };
-    let typers: Vec<(String, f64)> = vec![
+    let mut cati19 = Confusion::new(TypeClass::ALL.len());
+    for ex in &test {
+        cati19 +=
+            &pipeline_confusions(&ctx.cati, &EmbeddedExtraction::new(&ctx.cati.embedder, ex)).1;
+    }
+    let ladder: Vec<(String, Confusion)> = vec![
+        ("CATI (full)".to_string(), cati19),
         (
             RuleTyper.name().to_string(),
             variable_accuracy(&RuleTyper, test.iter().copied()),
@@ -77,21 +75,21 @@ fn main() {
 
     println!("\nDEBIN comparison ({})\n", scale.name());
     let mut t17 = Table::new(&["method (17-type task)", "variable accuracy"]);
-    t17.row(vec![
-        "CATI (context VUCs)".into(),
-        format!("{:.3}", cati17_acc),
-    ]);
-    t17.row(vec![
-        "dependency-only (DEBIN-style features)".into(),
-        format!("{:.3}", nocontext17_acc),
-    ]);
+    let mut rows = Vec::new();
+    for (name, m) in [
+        ("CATI (context VUCs)", &cati17),
+        ("dependency-only (DEBIN-style features)", &nocontext17),
+    ] {
+        t17.row(vec![name.into(), format!("{:.3}", m.accuracy())]);
+        rows.push(json!({ "task": 17, "method": name, "var": scored(m) }));
+    }
     println!("{}", t17.render());
     println!("paper: CATI 0.84 vs DEBIN 0.73 (+11 points)\n");
 
     let mut t19 = Table::new(&["method (19-type task)", "variable accuracy"]);
-    t19.row(vec!["CATI (full)".into(), format!("{:.3}", cati_acc_19)]);
-    for (name, acc) in &typers {
-        t19.row(vec![name.clone(), format!("{:.3}", acc)]);
+    for (name, m) in &ladder {
+        t19.row(vec![name.clone(), format!("{:.3}", m.accuracy())]);
+        rows.push(json!({ "task": 19, "method": name, "var": scored(m) }));
     }
     println!("{}", t19.render());
     println!(
@@ -100,4 +98,6 @@ fn main() {
         knn_wide.collision_rate() * 100.0
     );
     println!("Expected shape: CATI > no-context/k-NN/rules; gap ~= the paper's DEBIN gap.");
+
+    run.finish(&json!({ "scale": scale.name(), "ladder": rows }));
 }

@@ -8,12 +8,14 @@
 //! ```
 
 use cati::report::Table;
-use cati::{pipeline_accuracy, Cati, Dataset};
+use cati::{pipeline_confusions, Cati, Confusion, Dataset, EmbeddedExtraction};
 use cati_analysis::FeatureView;
-use cati_bench::{RunObs, Scale, SEED};
+use cati_bench::{scored, RunObs, Scale, SEED};
+use cati_dwarf::TypeClass;
 use cati_synbin::{build_app, AppProfile, BuiltBinary, CodegenOptions, Compiler, OptLevel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use serde_json::json;
 
 fn build_split(scale: Scale, levels: &[OptLevel], seed: u64, projects: usize) -> Vec<BuiltBinary> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -66,6 +68,7 @@ fn main() {
         "trained on all levels",
         "vars",
     ]);
+    let mut rows = Vec::new();
     for opt in OptLevel::ALL {
         let mut rng = StdRng::seed_from_u64(SEED ^ 0xBEEF ^ opt.0 as u64);
         let mut test = Vec::new();
@@ -78,26 +81,30 @@ fn main() {
         }
         let ds = Dataset::from_binaries(&test, FeatureView::Stripped);
         let score = |model: &Cati| {
-            let mut ok = 0.0;
-            let mut n = 0u64;
+            let mut vars = Confusion::new(TypeClass::ALL.len());
             for (_, ex) in ds.iter() {
-                let (_, _, ra, rn) = pipeline_accuracy(model, ex);
-                ok += ra * rn as f64;
-                n += rn;
+                vars +=
+                    &pipeline_confusions(model, &EmbeddedExtraction::new(&model.embedder, ex)).1;
             }
-            (ok / n.max(1) as f64, n)
+            vars
         };
-        let (low_acc, n) = score(&low_model);
-        let (all_acc, _) = score(&all_model);
+        let (low, all) = (score(&low_model), score(&all_model));
         table.row(vec![
             opt.to_string(),
-            format!("{low_acc:.3}"),
-            format!("{all_acc:.3}"),
-            n.to_string(),
+            format!("{:.3}", low.accuracy()),
+            format!("{:.3}", all.accuracy()),
+            low.total().to_string(),
         ]);
+        rows.push(json!({
+            "opt": opt.to_string(),
+            "trained_low": scored(&low),
+            "trained_all": scored(&all),
+        }));
     }
     println!("\nOptimization-level transfer ({})\n", scale.name());
     println!("{}", table.render());
     println!("Expected shape: the low-opt model degrades on -O2/-O3 (register promotion");
     println!("and scheduling change the idioms); training across levels closes the gap.");
+
+    run.finish(&json!({ "scale": scale.name(), "levels": rows }));
 }

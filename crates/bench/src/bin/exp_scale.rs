@@ -26,11 +26,12 @@
 
 use cati::obs::NOOP;
 use cati::{
-    embedding_sentences, pipeline_accuracy, Cati, CheckpointDir, Config, Dataset, MultiStage,
-    ShardSet, ShardWriter, StreamOptions, TrainIdentity,
+    embedding_sentences, pipeline_confusions, Cati, CheckpointDir, Config, Confusion, Dataset,
+    EmbeddedExtraction, MultiStage, ShardSet, ShardWriter, StreamOptions, TrainIdentity,
 };
 use cati_analysis::FeatureView;
 use cati_bench::{RunObs, Scale, SEED};
+use cati_dwarf::TypeClass;
 use cati_embedding::{VucEmbedder, Word2Vec};
 use cati_synbin::{
     build_app, build_corpus, mutate, AppProfile, BuiltBinary, CodegenOptions, CorpusConfig,
@@ -269,13 +270,12 @@ fn child_main(target: usize) {
     };
     let test = build_corpus(&CorpusConfig::small(SEED)).test;
     let test_ds = Dataset::from_binaries(&test, FeatureView::Stripped);
-    let (mut vuc_ok, mut vuc_n, mut var_ok, mut var_n) = (0.0, 0u64, 0.0, 0u64);
+    let mut vucs = Confusion::new(TypeClass::ALL.len());
+    let mut vars = vucs.clone();
     for (_, ex) in &test_ds.entries {
-        let (va, vn, aa, an) = pipeline_accuracy(&cati, ex);
-        vuc_ok += va * vn as f64;
-        vuc_n += vn;
-        var_ok += aa * an as f64;
-        var_n += an;
+        let (v, r) = pipeline_confusions(&cati, &EmbeddedExtraction::new(&cati.embedder, ex));
+        vucs += &v;
+        vars += &r;
     }
     let eval_s = t.elapsed().as_secs_f64();
     std::fs::remove_dir_all(&work).ok();
@@ -293,9 +293,9 @@ fn child_main(target: usize) {
             "verify_s": verify_s,
             "train_s": train_s,
             "eval_s": eval_s,
-            "vuc_accuracy": vuc_ok / vuc_n.max(1) as f64,
-            "var_accuracy": var_ok / var_n.max(1) as f64,
-            "test_vars": var_n,
+            "vuc_accuracy": vucs.accuracy(),
+            "var_accuracy": vars.accuracy(),
+            "test_vars": vars.total(),
             "peak_rss_bytes": peak_rss,
         })
     );

@@ -5,9 +5,8 @@
 //! cargo run --release -p cati-bench --bin exp_table5 -- --scale medium
 //! ```
 
-use cati::dataset::embed_extraction;
 use cati::report::{cell, pct, Table};
-use cati::vote;
+use cati::{pipeline_confusions, vote, Confusion, EmbeddedExtraction};
 use cati_analysis::clustering_stats;
 use cati_bench::{load_ctx_observed, RunObs, Scale};
 use cati_dwarf::{StageId, TypeClass};
@@ -19,19 +18,20 @@ fn main() {
     let ctx = load_ctx_observed(scale, Compiler::Gcc, run.obs());
 
     let n = TypeClass::ALL.len();
-    // Per class: [stage-depth-0..2 recall numerators/denominators],
-    // final accuracy, support.
+    // Per class: [stage-depth-0..2 recall numerators/denominators];
+    // the final decision's per-class recall and support come from the
+    // variable confusion.
     let mut stage_ok = vec![[0u64; 3]; n];
     let mut stage_n = vec![[0u64; 3]; n];
-    let mut final_ok = vec![0u64; n];
-    let mut support = vec![0u64; n];
+    let mut vars = Confusion::new(n);
 
     for (_, ex) in ctx.test.iter() {
-        let xs = embed_extraction(ex, &ctx.cati.embedder);
+        let session = EmbeddedExtraction::new(&ctx.cati.embedder, ex);
+        let xs = session.embedded();
         // Cache stage distributions for all VUCs.
         let stage_dists: Vec<(StageId, cati::Tensor)> = StageId::ALL
             .iter()
-            .map(|&s| (s, ctx.cati.stages.stage_probs_batch(s, &xs)))
+            .map(|&s| (s, ctx.cati.stages.stage_probs_batch(s, xs)))
             .collect();
         let dist_of = |s: StageId, i: usize| -> &[f32] {
             stage_dists
@@ -41,12 +41,9 @@ fn main() {
                 .1
                 .row(i)
         };
-        let leaf_dists = ctx.cati.stages.leaf_distributions_batch(&xs);
-
         for var in &ex.vars {
             let Some(class) = var.class else { continue };
             let ci = class.index();
-            support[ci] += 1;
             // Per-stage voted prediction along the truth path.
             for (depth, (stage, truth_label)) in StageId::path_of(class).iter().enumerate() {
                 let dists: Vec<&[f32]> = var
@@ -58,15 +55,9 @@ fn main() {
                 stage_n[ci][depth] += 1;
                 stage_ok[ci][depth] += u64::from(pred == *truth_label);
             }
-            // Final composed decision.
-            let dists: Vec<&[f32]> = var
-                .vucs
-                .iter()
-                .map(|&v| leaf_dists.row(v as usize))
-                .collect();
-            let pred = vote(&dists, ctx.cati.config.vote_threshold).class;
-            final_ok[ci] += u64::from(TypeClass::ALL[pred] == class);
         }
+        // Final composed decision.
+        vars += &pipeline_confusions(&ctx.cati, &session).1;
     }
 
     let clustering = clustering_stats(ctx.test.iter().map(|(_, e)| e));
@@ -76,13 +67,9 @@ fn main() {
     ]);
     for class in TypeClass::ALL {
         let ci = class.index();
-        let ratio = |ok: u64, n: u64| if n == 0 { 0.0 } else { ok as f64 / n as f64 };
-        let depth_cell = |d: usize| {
-            if stage_n[ci][d] == 0 {
-                "-".to_string()
-            } else {
-                cell(ratio(stage_ok[ci][d], stage_n[ci][d]), stage_n[ci][d])
-            }
+        let depth_cell = |d: usize| match stage_n[ci][d] {
+            0 => "-".to_string(),
+            n => cell(stage_ok[ci][d] as f64 / n as f64, n),
         };
         let cs = &clustering.per_class[ci];
         table.row(vec![
@@ -90,8 +77,8 @@ fn main() {
             depth_cell(0),
             depth_cell(1),
             depth_cell(2),
-            cell(ratio(final_ok[ci], support[ci]), support[ci]),
-            support[ci].to_string(),
+            cell(vars.per_class(ci).recall, vars.support(ci)),
+            vars.support(ci).to_string(),
             format!("{:.2}", cs.cnt_same()),
             format!("{:.2}", cs.cnt_all()),
             pct(cs.c_rate()),

@@ -11,10 +11,11 @@
 //! ```
 
 use cati::report::Table;
-use cati::{pipeline_accuracy_session, stage_vuc_metrics, EmbeddedExtraction};
-use cati_bench::{load_ctx_observed, RunObs, Scale};
-use cati_dwarf::StageId;
+use cati::{pipeline_confusions, stage_vuc_metrics, Confusion, EmbeddedExtraction};
+use cati_bench::{load_ctx_observed, scored, RunObs, Scale};
+use cati_dwarf::{StageId, TypeClass};
 use cati_synbin::Compiler;
+use serde_json::json;
 
 fn main() {
     let scale = Scale::from_args();
@@ -51,16 +52,15 @@ fn main() {
     );
     println!("{}", table.render());
 
-    let mut ok = 0.0;
-    let mut n = 0u64;
+    let mut vars = Confusion::new(TypeClass::ALL.len());
     for session in &sessions {
-        let (_, _, ra, rn) = pipeline_accuracy_session(&ctx.cati, session);
-        ok += ra * rn as f64;
-        n += rn;
+        vars += &pipeline_confusions(&ctx.cati, session).1;
     }
     println!(
         "total variable accuracy on Clang: {:.2}%   (paper: 82.14%)",
-        100.0 * ok / n.max(1) as f64
+        100.0 * vars.accuracy()
     );
     println!("Conclusion to check: the prototype transfers across compilers.");
+
+    run.finish(&json!({ "scale": scale.name(), "total_var": scored(&vars) }));
 }

@@ -2,14 +2,15 @@
 //!
 //! One binary per table/figure of the paper's evaluation (see
 //! DESIGN.md §4 for the index). All experiment binaries accept
-//! `--scale small|medium|paper` and share a cached trained model per
-//! `(scale, seed, compiler)` under `target/cati-cache/`.
+//! `--scale small|medium|paper`, and each trains the model it scores:
+//! no model is cached across runs, so a paper-scale suite retrains
+//! once per experiment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use cati::obs::{git_rev, Level, LogFormat, Observer, Recorder, RecorderConfig};
-use cati::{ArtifactCache, Cati, Config, Dataset};
+use cati::{ArtifactCache, Cati, Config, Confusion, Dataset};
 use cati_analysis::FeatureView;
 use cati_synbin::{build_corpus, Compiler, Corpus, CorpusConfig};
 use serde_json::{json, Value};
@@ -203,12 +204,6 @@ pub struct Ctx {
     pub train: Dataset,
 }
 
-fn cache_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/cati-cache");
-    std::fs::create_dir_all(&dir).ok();
-    dir
-}
-
 /// Parses `--cache-dir DIR` from `std::env::args`: the on-disk
 /// content-addressed artifact cache shared by the experiments'
 /// extraction (and inference embedding) phases. Absent flag means no
@@ -228,10 +223,9 @@ pub fn artifact_cache_from_args() -> Option<ArtifactCache> {
     }
 }
 
-/// Builds the corpus and trains (or loads a cached) model for `scale`
-/// and `compiler`. `obs` receives the context-preparation telemetry:
-/// `ctx.*` spans, extraction counters, and training events when the
-/// cache misses.
+/// Builds the corpus and trains the model for `scale` and `compiler`.
+/// `obs` receives the context-preparation telemetry: `ctx.*` spans,
+/// extraction counters and training events.
 pub fn load_ctx_observed(scale: Scale, compiler: Compiler, obs: &dyn Observer) -> Ctx {
     let config = scale.config();
     let corpus_cfg = scale.corpus(SEED).with_compiler(compiler);
@@ -251,25 +245,8 @@ pub fn load_ctx_observed(scale: Scale, compiler: Compiler, obs: &dyn Observer) -
         corpus.train.len(),
         corpus.test.len()
     );
-    let cache = cache_dir().join(format!(
-        "cati-{}-{}-{SEED}.json",
-        scale.name(),
-        compiler.name()
-    ));
-    let cati = match Cati::load(&cache) {
-        Ok(model) if model.config == config => {
-            cati::obs::info!(obs, "loaded cached model {}", cache.display());
-            model
-        }
-        _ => {
-            cati::obs::info!(obs, "training model (no cache hit)...");
-            let model = Cati::train(&corpus.train, &config, obs);
-            if let Err(e) = model.save(&cache) {
-                cati::obs::info!(obs, "cache write failed: {e}");
-            }
-            model
-        }
-    };
+    cati::obs::info!(obs, "training model...");
+    let cati = Cati::train(&corpus.train, &config, obs);
     cati::obs::info!(obs, "extracting test set...");
     let artifacts = artifact_cache_from_args();
     let _span = cati::obs::SpanGuard::enter(obs, "ctx.extract_test");
@@ -287,6 +264,12 @@ pub fn load_ctx_observed(scale: Scale, compiler: Compiler, obs: &dyn Observer) -
         test,
         train,
     }
+}
+
+/// One accuracy for a run manifest: the confusion's accuracy with its
+/// sample count `n`.
+pub fn scored(m: &Confusion) -> Value {
+    json!({ "accuracy": m.accuracy(), "n": m.total() })
 }
 
 /// The 12 test application names, in the paper's column order.

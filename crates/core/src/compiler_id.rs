@@ -8,6 +8,7 @@
 
 use crate::config::Config;
 use crate::dataset::embed_extraction;
+use crate::metrics::Confusion;
 use cati_analysis::{Extraction, VUC_LEN};
 use cati_embedding::VucEmbedder;
 use cati_nn::{Adam, TextCnn, TextCnnConfig};
@@ -88,19 +89,15 @@ impl CompilerId {
         }
     }
 
-    /// VUC-level accuracy over labeled extractions.
-    pub fn accuracy(&self, embedder: &VucEmbedder, data: &[(&Extraction, Compiler)]) -> f64 {
-        let mut correct = 0usize;
-        let mut total = 0usize;
+    /// VUC-level confusion over labeled extractions (class 0 is GCC,
+    /// 1 is Clang).
+    pub fn accuracy(&self, embedder: &VucEmbedder, data: &[(&Extraction, Compiler)]) -> Confusion {
+        let mut m = Confusion::new(2);
         for (ex, compiler) in data {
-            let preds = self.predict_vucs(embedder, ex);
-            correct += preds.iter().filter(|&c| c == compiler).count();
-            total += preds.len();
+            for pred in self.predict_vucs(embedder, ex) {
+                m.record(label_of(*compiler), label_of(pred));
+            }
         }
-        if total == 0 {
-            0.0
-        } else {
-            correct as f64 / total as f64
-        }
+        m
     }
 }

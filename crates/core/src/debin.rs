@@ -7,6 +7,7 @@
 //! followed by the same confidence voting.
 
 use crate::config::Config;
+use crate::metrics::Confusion;
 use crate::vote::vote;
 use cati_analysis::{Extraction, VUC_LEN};
 use cati_dwarf::Debin17;
@@ -67,29 +68,20 @@ impl DebinTask {
         }
     }
 
-    /// Variable-level accuracy on labeled extractions, with voting.
-    pub fn accuracy(&self, extractions: &[&Extraction], embedder: &VucEmbedder) -> f64 {
-        let mut correct = 0u64;
-        let mut total = 0u64;
+    /// Variable-level confusion over DEBIN's 17 labels on labeled
+    /// extractions, with voting.
+    pub fn accuracy(&self, extractions: &[&Extraction], embedder: &VucEmbedder) -> Confusion {
+        let mut m = Confusion::new(Debin17::ALL.len());
         for ex in extractions {
             let xs = crate::dataset::embed_extraction(ex, embedder);
             let dists = self.model.predict_batch(&xs);
             for var in &ex.vars {
                 let Some(truth) = var.debin else { continue };
-                if var.vucs.is_empty() {
-                    continue;
-                }
                 let var_dists: Vec<&[f32]> =
                     var.vucs.iter().map(|&v| dists.row(v as usize)).collect();
-                let pred = vote(&var_dists, self.threshold).class;
-                total += 1;
-                correct += u64::from(pred == truth.index());
+                m.record(truth.index(), vote(&var_dists, self.threshold).class);
             }
         }
-        if total == 0 {
-            0.0
-        } else {
-            correct as f64 / total as f64
-        }
+        m
     }
 }

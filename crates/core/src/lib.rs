@@ -70,8 +70,8 @@ pub use occlusion::{
     importance_heatmap, occlusion_epsilons, occlusion_epsilons_embedded, ImportanceHeatmap,
 };
 pub use pipeline::{
-    pipeline_accuracy, pipeline_accuracy_session, stage_var_metrics, stage_vuc_metrics, Cati,
-    Evaluation, InferReport, InferredVar,
+    pipeline_accuracy, pipeline_confusions, stage_var_metrics, stage_vuc_metrics, Cati, Evaluation,
+    InferReport, InferredVar,
 };
 pub use session::EmbeddedExtraction;
 pub use shards::{write_dataset_shards, ShardError, ShardSamples, ShardSet, ShardWriter};

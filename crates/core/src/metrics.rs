@@ -1,7 +1,9 @@
 //! Classification metrics: precision, recall, F1, accuracy, confusion
-//! matrices (paper §VII-A).
+//! matrices (paper §VII-A). [`Confusion`] is the one scorer; results
+//! over parts pool by adding counts.
 
 use serde::{Deserialize, Serialize};
+use std::ops::AddAssign;
 
 /// Precision/recall/F1 with support.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -117,14 +119,32 @@ impl Confusion {
         acc
     }
 
+    /// Correct observations: the trace.
+    pub fn correct(&self) -> u64 {
+        (0..self.n).map(|c| self.get(c, c)).sum()
+    }
+
     /// Micro accuracy: trace / total.
     pub fn accuracy(&self) -> f64 {
         let total = self.total();
         if total == 0 {
             return 0.0;
         }
-        let trace: u64 = (0..self.n).map(|c| self.get(c, c)).sum();
-        trace as f64 / total as f64
+        self.correct() as f64 / total as f64
+    }
+}
+
+impl AddAssign<&Confusion> for Confusion {
+    /// Pools another matrix's counts into this one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the class counts differ.
+    fn add_assign(&mut self, other: &Confusion) {
+        assert_eq!(self.n, other.n, "class counts differ");
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
+        }
     }
 }
 
@@ -186,6 +206,25 @@ mod tests {
         let m = Confusion::new(4);
         assert_eq!(m.accuracy(), 0.0);
         assert_eq!(m.weighted_avg(), Prf::default());
+    }
+
+    #[test]
+    fn merged_parts_equal_one_matrix_over_all_outcomes() {
+        let truths = [0, 1, 2, 2, 1, 0, 0, 2, 1];
+        let preds = [0, 2, 2, 1, 1, 0, 1, 2, 0];
+        let mut merged = Confusion::new(3);
+        for (t, p) in truths.chunks(4).zip(preds.chunks(4)) {
+            merged += &confusion(3, t, p);
+        }
+        assert_eq!(merged, confusion(3, &truths, &preds));
+        assert_eq!(merged.total(), truths.len() as u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "class counts differ")]
+    fn merging_mismatched_class_counts_panics() {
+        let mut m = Confusion::new(3);
+        m += &Confusion::new(2);
     }
 
     #[test]

@@ -628,36 +628,36 @@ pub fn stage_var_metrics(
 }
 
 /// End-to-end accuracies of one extraction at both granularities
-/// (paper Table VI): `(vuc_accuracy, vuc_n, var_accuracy, var_n)`.
+/// (paper Table VI): `(vuc_accuracy, vuc_n, var_accuracy, var_n)`,
+/// read off [`pipeline_confusions`]. Kept only because the benchmark
+/// (`perfbench`) calls it by name; everything else pools the
+/// confusions themselves.
 pub fn pipeline_accuracy(cati: &Cati, ex: &Extraction) -> (f64, u64, f64, u64) {
-    let session = EmbeddedExtraction::new(&cati.embedder, ex);
-    pipeline_accuracy_session(cati, &session)
+    let (vucs, vars) = pipeline_confusions(cati, &EmbeddedExtraction::new(&cati.embedder, ex));
+    (vucs.accuracy(), vucs.total(), vars.accuracy(), vars.total())
 }
 
-/// [`pipeline_accuracy`] over a pre-embedded session, for callers
-/// that share the session with other consumers.
-pub fn pipeline_accuracy_session(
+/// Scores one pre-embedded extraction end to end (paper Table VI):
+/// the 19-class VUC and variable confusions of the session's
+/// [`Evaluation`] against the labels. Unlabeled VUCs and variables are
+/// not scored.
+pub fn pipeline_confusions(
     cati: &Cati,
     session: &EmbeddedExtraction<'_>,
-) -> (f64, u64, f64, u64) {
+) -> (Confusion, Confusion) {
     let ex = session.extraction();
     let eval = cati.evaluate_session(session, &cati_obs::NOOP);
-    let mut vuc_ok = 0u64;
-    let mut vuc_n = 0u64;
+    let mut vucs = Confusion::new(TypeClass::ALL.len());
     for (vuc, pred) in ex.vucs.iter().zip(&eval.vuc_preds) {
-        let Some(class) = vuc.class(&ex.vars) else {
-            continue;
-        };
-        vuc_n += 1;
-        vuc_ok += u64::from(class == *pred);
+        if let Some(class) = vuc.class(&ex.vars) {
+            vucs.record(class.index(), pred.index());
+        }
     }
-    let mut var_ok = 0u64;
-    let mut var_n = 0u64;
+    let mut vars = Confusion::new(TypeClass::ALL.len());
     for (var, pred) in ex.vars.iter().zip(&eval.var_preds) {
-        let Some(class) = var.class else { continue };
-        var_n += 1;
-        var_ok += u64::from(class == *pred);
+        if let Some(class) = var.class {
+            vars.record(class.index(), pred.index());
+        }
     }
-    let div = |a: u64, b: u64| if b == 0 { 0.0 } else { a as f64 / b as f64 };
-    (div(vuc_ok, vuc_n), vuc_n, div(var_ok, var_n), var_n)
+    (vucs, vars)
 }

@@ -1,7 +1,7 @@
 //! Integration tests for the auxiliary classifier heads: compiler
 //! identification (§VIII) and the DEBIN 17-type task (§VII).
 
-use cati::{embedding_sentences, CompilerId, Config, DebinTask};
+use cati::{embedding_sentences, CompilerId, Config, Confusion, DebinTask};
 use cati_analysis::{extract, Extraction, FeatureView};
 use cati_embedding::{VucEmbedder, Word2Vec};
 use cati_synbin::{build_corpus, Compiler, CorpusConfig};
@@ -53,21 +53,22 @@ fn compiler_id_separates_gcc_from_clang() {
     let test_refs: Vec<(&Extraction, Compiler)> = test.iter().map(|(e, c)| (e, *c)).collect();
 
     let id = CompilerId::train(&train_refs, &embedder, &config);
-    let acc = id.accuracy(&embedder, &test_refs);
+    let acc = id.accuracy(&embedder, &test_refs).accuracy();
     // The paper reaches 100% (and our medium-scale experiment 98.7%
     // per VUC); the test-scale model sees far less data, so we assert
     // a clear margin per VUC and near-perfection after the per-binary
     // majority vote, which is what the 100% claim rests on.
     assert!(acc > 0.72, "compiler-id VUC accuracy {acc:.3}");
 
-    let bin_ok = test_refs
-        .iter()
-        .filter(|(ex, c)| id.predict_binary(&embedder, ex) == *c)
-        .count();
+    let mut bins = Confusion::new(2);
+    for (ex, c) in &test_refs {
+        bins.record(*c as usize, id.predict_binary(&embedder, ex) as usize);
+    }
     assert!(
-        bin_ok >= test_refs.len() - 1,
-        "binary-level {bin_ok}/{}",
-        test_refs.len()
+        bins.correct() + 1 >= bins.total(),
+        "binary-level {}/{}",
+        bins.correct(),
+        bins.total()
     );
 }
 
@@ -91,7 +92,7 @@ fn debin_task_trains_and_scores_above_chance() {
     let test_refs: Vec<&Extraction> = test.iter().collect();
 
     let task = DebinTask::train(&train_refs, &embedder, &config);
-    let acc = task.accuracy(&test_refs, &embedder);
+    let acc = task.accuracy(&test_refs, &embedder).accuracy();
     // 17 classes, so chance ~6%; pointer alone is >30% of variables.
     assert!(acc > 0.30, "17-type accuracy {acc:.3} at chance level");
 }

@@ -5,7 +5,7 @@
 //! cargo run --release --example compiler_id [small|medium]
 //! ```
 
-use cati::{embedding_sentences, CompilerId, Config};
+use cati::{embedding_sentences, CompilerId, Config, Confusion};
 use cati_analysis::{extract, Extraction, FeatureView};
 use cati_embedding::{VucEmbedder, Word2Vec};
 use cati_synbin::{build_corpus, Compiler, CorpusConfig};
@@ -53,19 +53,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("training compiler-id classifier...");
     let id = CompilerId::train(&train_refs, &embedder, &config);
-    let vuc_acc = id.accuracy(&embedder, &test_refs);
+    let vucs = id.accuracy(&embedder, &test_refs);
 
-    let mut bin_ok = 0usize;
+    let mut bins = Confusion::new(2);
     for (ex, truth) in &test_refs {
-        if id.predict_binary(&embedder, ex) == *truth {
-            bin_ok += 1;
-        }
+        bins.record(*truth as usize, id.predict_binary(&embedder, ex) as usize);
     }
-    println!("VUC-level accuracy:    {:.2}%", vuc_acc * 100.0);
+    println!("VUC-level accuracy:    {:.2}%", vucs.accuracy() * 100.0);
     println!(
-        "binary-level accuracy: {:.2}% ({bin_ok}/{} binaries)",
-        100.0 * bin_ok as f64 / test_refs.len() as f64,
-        test_refs.len()
+        "binary-level accuracy: {:.2}% ({}/{} binaries)",
+        100.0 * bins.accuracy(),
+        bins.correct(),
+        bins.total()
     );
     println!("(paper reports 100% on this task)");
     Ok(())

@@ -5,8 +5,9 @@
 //! cargo run --release --example train_and_infer [small|medium]
 //! ```
 
-use cati::{pipeline_accuracy, Cati, Config};
+use cati::{pipeline_confusions, Cati, Config, Confusion, EmbeddedExtraction};
 use cati_analysis::{extract, FeatureView};
+use cati_dwarf::TypeClass;
 use cati_synbin::{build_corpus, CorpusConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,39 +38,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\n{:<12} {:>8} {:>9} {:>8} {:>9}",
         "app", "vuc-acc", "vuc-n", "var-acc", "var-n"
     );
-    let mut by_app: std::collections::BTreeMap<String, (f64, u64, f64, u64)> = Default::default();
+    let empty = Confusion::new(TypeClass::ALL.len());
+    let mut by_app: std::collections::BTreeMap<String, (Confusion, Confusion)> = Default::default();
     for built in &corpus.test {
         let ex = extract(&built.binary, FeatureView::Stripped)?;
-        let (va, vn, ra, rn) = pipeline_accuracy(&cati, &ex);
-        let e = by_app.entry(built.app.clone()).or_insert((0.0, 0, 0.0, 0));
-        e.0 += va * vn as f64;
-        e.1 += vn;
-        e.2 += ra * rn as f64;
-        e.3 += rn;
+        let (v, r) = pipeline_confusions(&cati, &EmbeddedExtraction::new(&cati.embedder, &ex));
+        let e = by_app
+            .entry(built.app.clone())
+            .or_insert_with(|| (empty.clone(), empty.clone()));
+        e.0 += &v;
+        e.1 += &r;
     }
-    let (mut tv, mut tn, mut rv, mut rn_total) = (0.0, 0u64, 0.0, 0u64);
-    for (app, (va, vn, ra, rn)) in &by_app {
+    let (mut vucs, mut vars) = (empty.clone(), empty);
+    let row = |app: &str, v: &Confusion, r: &Confusion| {
         println!(
             "{:<12} {:>8.3} {:>9} {:>8.3} {:>9}",
             app,
-            va / (*vn).max(1) as f64,
-            vn,
-            ra / (*rn).max(1) as f64,
-            rn
+            v.accuracy(),
+            v.total(),
+            r.accuracy(),
+            r.total()
         );
-        tv += va;
-        tn += vn;
-        rv += ra;
-        rn_total += rn;
+    };
+    for (app, (v, r)) in &by_app {
+        row(app, v, r);
+        vucs += v;
+        vars += r;
     }
-    println!(
-        "{:<12} {:>8.3} {:>9} {:>8.3} {:>9}",
-        "total",
-        tv / tn.max(1) as f64,
-        tn,
-        rv / rn_total.max(1) as f64,
-        rn_total
-    );
+    row("total", &vucs, &vars);
     std::fs::remove_file(&model_path).ok();
     Ok(())
 }

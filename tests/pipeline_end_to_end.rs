@@ -1,8 +1,9 @@
 //! End-to-end integration: corpus → training → inference on unseen
 //! stripped binaries.
 
-use cati::{pipeline_accuracy, Cati, Config};
+use cati::{pipeline_confusions, Cati, Config, Confusion, EmbeddedExtraction};
 use cati_analysis::{extract, FeatureView};
+use cati_dwarf::TypeClass;
 use cati_synbin::{build_corpus, Corpus, CorpusConfig};
 
 fn small_corpus() -> Corpus {
@@ -17,21 +18,16 @@ fn train_small(corpus: &Corpus) -> Cati {
 fn trained_system_beats_chance_on_unseen_binaries() {
     let corpus = small_corpus();
     let cati = train_small(&corpus);
-    let mut vuc_ok = 0.0;
-    let mut vuc_n = 0u64;
-    let mut var_ok = 0.0;
-    let mut var_n = 0u64;
+    let mut vucs = Confusion::new(TypeClass::ALL.len());
+    let mut vars = Confusion::new(TypeClass::ALL.len());
     for built in corpus.test.iter().take(6) {
         let ex = extract(&built.binary, FeatureView::Stripped).unwrap();
-        let (va, vn, ra, rn) = pipeline_accuracy(&cati, &ex);
-        vuc_ok += va * vn as f64;
-        vuc_n += vn;
-        var_ok += ra * rn as f64;
-        var_n += rn;
+        let (v, r) = pipeline_confusions(&cati, &EmbeddedExtraction::new(&cati.embedder, &ex));
+        vucs += &v;
+        vars += &r;
     }
-    assert!(vuc_n > 100, "need a real test sample, got {vuc_n} VUCs");
-    let vuc_acc = vuc_ok / vuc_n as f64;
-    let var_acc = var_ok / var_n as f64;
+    let (n, vuc_acc, var_acc) = (vucs.total(), vucs.accuracy(), vars.accuracy());
+    assert!(n > 100, "need a real test sample, got {n} VUCs");
     // 19 classes => chance is ~5%, majority class well under 40%.
     // Even the tiny test-scale model must clearly beat chance.
     assert!(

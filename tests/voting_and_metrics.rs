@@ -1,10 +1,11 @@
 //! Voting behaviour and metric plumbing across the pipeline.
 
 use cati::{
-    pipeline_accuracy, stage_var_metrics, stage_vuc_metrics, Cati, Config, EmbeddedExtraction,
+    pipeline_accuracy, pipeline_confusions, stage_var_metrics, stage_vuc_metrics, Cati, Config,
+    Confusion, EmbeddedExtraction,
 };
 use cati_analysis::{extract, Extraction, FeatureView};
-use cati_dwarf::StageId;
+use cati_dwarf::{StageId, TypeClass};
 use cati_synbin::{build_corpus, CorpusConfig};
 
 fn setup() -> (Cati, Vec<Extraction>) {
@@ -25,23 +26,31 @@ fn voting_does_not_hurt_aggregate_accuracy_much() {
     // VUC accuracy. At test scale we assert the weaker invariant that
     // voting does not collapse performance.
     let (cati, exs) = setup();
-    let mut vuc_ok = 0.0;
-    let mut vuc_n = 0u64;
-    let mut var_ok = 0.0;
-    let mut var_n = 0u64;
+    let mut vucs = Confusion::new(TypeClass::ALL.len());
+    let mut vars = Confusion::new(TypeClass::ALL.len());
     for ex in &exs {
-        let (va, vn, ra, rn) = pipeline_accuracy(&cati, ex);
-        vuc_ok += va * vn as f64;
-        vuc_n += vn;
-        var_ok += ra * rn as f64;
-        var_n += rn;
+        let (v, r) = pipeline_confusions(&cati, &EmbeddedExtraction::new(&cati.embedder, ex));
+        vucs += &v;
+        vars += &r;
     }
-    let vuc_acc = vuc_ok / vuc_n.max(1) as f64;
-    let var_acc = var_ok / var_n.max(1) as f64;
+    let (vuc_acc, var_acc) = (vucs.accuracy(), vars.accuracy());
     assert!(
         var_acc >= vuc_acc - 0.10,
         "voting collapsed accuracy: VUC {vuc_acc:.3} vs var {var_acc:.3}"
     );
+}
+
+#[test]
+fn pipeline_accuracy_reads_the_scorer_bit_for_bit() {
+    // perfbench's `vuc_accuracy`/`var_accuracy` come from
+    // `pipeline_accuracy`; its four numbers must be the confusions'.
+    let (cati, exs) = setup();
+    let bits = |(va, vn, ra, rn): (f64, u64, f64, u64)| (va.to_bits(), vn, ra.to_bits(), rn);
+    for ex in &exs {
+        let (vucs, vars) = pipeline_confusions(&cati, &EmbeddedExtraction::new(&cati.embedder, ex));
+        let scorer = (vucs.accuracy(), vucs.total(), vars.accuracy(), vars.total());
+        assert_eq!(bits(pipeline_accuracy(&cati, ex)), bits(scorer));
+    }
 }
 
 #[test]
